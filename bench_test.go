@@ -262,16 +262,16 @@ func BenchmarkE7TransportExplore(b *testing.B) {
 	}
 	for _, r := range rows {
 		if r.Protocol == "swindow-s2-w1" {
-			b.ReportMetric(float64(r.CexLength), "cex-events")
+			b.ReportMetric(float64(r.WitnessOps), "witness-ops")
 		}
 	}
 }
 
 func BenchmarkExploreAltbit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Explore(AltBit(), ExploreConfig{Messages: 2, MaxDataSends: 4, MaxAckSends: 4})
-		if err != nil || rep.Violation == nil {
-			b.Fatalf("explore failed: %v", err)
+		rep, err := Verify(AltBit(), VerifyConfig{MaxMessages: 2})
+		if err != nil || rep.Verdict != "VIOLATED" {
+			b.Fatalf("verify failed: %v", err)
 		}
 	}
 }
@@ -279,9 +279,9 @@ func BenchmarkExploreAltbit(b *testing.B) {
 func BenchmarkExploreSeqnumExhaustive(b *testing.B) {
 	var states int
 	for i := 0; i < b.N; i++ {
-		rep, err := Explore(SeqNum(), ExploreConfig{Messages: 2, MaxDataSends: 4, MaxAckSends: 4})
+		rep, err := Verify(SeqNum(), VerifyConfig{MaxMessages: 2})
 		if err != nil || !rep.Exhausted {
-			b.Fatalf("explore failed: %v", err)
+			b.Fatalf("verify failed: %v", err)
 		}
 		states = rep.States
 	}

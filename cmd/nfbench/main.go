@@ -15,11 +15,9 @@
 //     reported as delivered messages per second — the one row whose work
 //     crosses the kernel instead of staying in the model.
 //
-// Both engines carry their legacy string-keyed reference implementation
-// behind a flag, and the artifact records A/B rows on identical work —
-// verify/cntexp vs verify/cntexp-stringkeys, fuzzexec/altbit-interned vs
-// fuzzexec/altbit-string — so the interning speedup ratios are read
-// directly off one run.
+// The fuzzexec/altbit-interned row times pure input execution through the
+// interned core on a fixed corpus; its gap to fuzz/altbit is the campaign
+// machinery's overhead.
 //
 // The engines themselves are clock-free (the wallclock lint bans ambient
 // time reads in internal/verify and internal/fuzz); all timing lives here
@@ -83,8 +81,8 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("nfbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		label       = fs.String("label", "dev", "machine/configuration label recorded in the artifact")
-		outPath     = fs.String("o", "", "write the JSON artifact to this path (default: stdout only)")
+		label        = fs.String("label", "dev", "machine/configuration label recorded in the artifact")
+		outPath      = fs.String("o", "", "write the JSON artifact to this path (default: stdout only)")
 		verifyBudgt  = fs.Int("verifybudget", 1<<15, "state budget for the budget-bounded verify workload")
 		fuzzBudget   = fs.Int64("fuzzbudget", 20000, "execution budget for the fuzz workload")
 		soakSessions = fs.Int("soaksessions", 256, "session count for the soak workload")
@@ -105,14 +103,6 @@ func run(args []string, out, errw io.Writer) int {
 		func() (Benchmark, error) {
 			return benchVerify("cntexp", "verify/cntexp", verify.Config{MaxStates: *verifyBudgt})
 		},
-		// The same budget-bounded workload through the legacy string-keyed
-		// visited set: the cntexp/cntexp-stringkeys ratio is the verifier's
-		// interning win, measured on identical work (the two stores explore
-		// the same configurations and agree on the space hash).
-		func() (Benchmark, error) {
-			return benchVerify("cntexp", "verify/cntexp-stringkeys",
-				verify.Config{MaxStates: *verifyBudgt, StringKeys: true})
-		},
 		// The stabilize workload is the 81-root corrupted-start proof of
 		// stabdl2 — the multi-root regime, dominated by the widened
 		// amnesty-carrying configuration keys.
@@ -120,12 +110,9 @@ func run(args []string, out, errw io.Writer) int {
 			return benchVerify("stabdl2", "verify/stabdl2-stabilize", verify.Config{Stabilize: true})
 		},
 		func() (Benchmark, error) { return benchFuzz("altbit", *fuzzBudget) },
-		// Pure execution, no campaign machinery: the same fixed corpus
-		// replayed through the string-keyed reference executor and the
-		// interned core. The interned/string rate ratio is the executor's
-		// interning win.
-		func() (Benchmark, error) { return benchExec("altbit", *fuzzBudget, false) },
-		func() (Benchmark, error) { return benchExec("altbit", *fuzzBudget, true) },
+		// Pure execution, no campaign machinery: a fixed corpus replayed
+		// through the interned core.
+		func() (Benchmark, error) { return benchExec("altbit", *fuzzBudget) },
 		// The facts-enabled lint suite over the whole module — the same work
 		// the CI vet step performs, measured as packages analyzed per second
 		// (load + type-check + seven analyzers + in-memory facts channel).
@@ -216,10 +203,9 @@ func benchFuzz(name string, budget int64) (Benchmark, error) {
 // coverage merging — over a fixed deterministic corpus: the canonical seeds
 // grown to 64 schedules by seeded mutation, the same construction
 // internal/fuzz's BenchmarkExecute uses. Each corpus input is executed
-// round-robin until budget executions have run, through either the
-// string-keyed reference executor (interned=false) or the pooled interned
-// core (interned=true).
-func benchExec(name string, budget int64, interned bool) (Benchmark, error) {
+// round-robin through one pooled interned core until budget executions have
+// run.
+func benchExec(name string, budget int64) (Benchmark, error) {
 	p, err := replay.LookupProtocol(name)
 	if err != nil {
 		return Benchmark{}, err
@@ -230,23 +216,14 @@ func benchExec(name string, budget int64, interned bool) (Benchmark, error) {
 	for len(corpus) < 64 {
 		corpus = append(corpus, fuzz.Mutate(corpus[rng.Intn(len(corpus))], rng))
 	}
-	display := "fuzzexec/" + name + "-string"
 	core := fuzz.NewCore(p)
 	start := time.Now()
 	for i := int64(0); i < budget; i++ {
-		in := corpus[i%int64(len(corpus))]
-		if interned {
-			core.Execute(in, false)
-		} else {
-			fuzz.Execute(p, in, false)
-		}
+		core.Execute(corpus[i%int64(len(corpus))], false)
 	}
 	elapsed := time.Since(start)
-	if interned {
-		display = "fuzzexec/" + name + "-interned"
-	}
 	return Benchmark{
-		Name:      display,
+		Name:      "fuzzexec/" + name + "-interned",
 		Metric:    "execs",
 		Work:      budget,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,

@@ -35,9 +35,9 @@ func TestRunWritesArtifact(t *testing.T) {
 		t.Errorf("artifact header = %+v", art)
 	}
 	want := []string{
-		"verify/seqnum", "verify/cntexp", "verify/cntexp-stringkeys",
+		"verify/seqnum", "verify/cntexp",
 		"verify/stabdl2-stabilize", "fuzz/altbit",
-		"fuzzexec/altbit-string", "fuzzexec/altbit-interned",
+		"fuzzexec/altbit-interned",
 		"analyze/lint", "netlink/soak",
 	}
 	if len(art.Benchmarks) != len(want) {

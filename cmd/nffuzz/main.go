@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 		quiet     = fs.Bool("q", false, "suppress the periodic stats line")
 		statsSec  = fs.Duration("stats-every", time.Second, "stats line interval")
 		check     = fs.Bool("check", true, "replay each certificate after the campaign and verify its verdict")
-		strCore   = fs.Bool("stringcore", false, "execute through the legacy string-keyed executor (reference implementation; campaign trajectory is identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +75,6 @@ func run(args []string, out io.Writer) error {
 		OutDir:          *outDir,
 		StopOnViolation: !*keepGoing,
 		Corrupt:         *corrupt,
-		StringCore:      *strCore,
 		StatsEvery:      *statsSec,
 	}
 	if !*quiet {

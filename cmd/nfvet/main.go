@@ -33,6 +33,9 @@
 //	                         configuration space: PROVE DL-safety up to the
 //	                         occupancy/message bounds, or emit a
 //	                         replay-confirmed NFT counterexample
+//	nfvet verify -fifo       explore the order-preserving lossy channel
+//	                         instead: protocols that fall to reordering
+//	                         (altbit, cheat1) are PROVED there
 //	nfvet verify -stabilize  seed the exploration with every bounded
 //	                         corrupted start: PROVED means the protocol
 //	                         self-stabilizes within the bounds

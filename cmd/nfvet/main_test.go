@@ -450,3 +450,82 @@ func writeFile(t *testing.T, path, content string) {
 		t.Fatal(err)
 	}
 }
+
+func TestVerifyAltbitBroken(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "verify", "-maxmsg", "2", "altbit")
+	if code != 0 {
+		t.Fatalf("verify altbit exited %d: %s", code, stderr)
+	}
+	for _, want := range []string{"verdict:    VIOLATED (DL1)", "replay-confirmed", "check:      CERTIFIED"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestVerifyAltbitFIFOSafe: over the FIFO channel every protocol that falls
+// to reordering is PROVED, and no declaration is contradicted.
+func TestVerifyAltbitFIFOSafe(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "verify", "-fifo", "altbit", "cheat1", "seqnum", "cntlinear")
+	if code != 0 {
+		t.Fatalf("verify -fifo exited %d: %s", code, stderr)
+	}
+	if n := strings.Count(stdout, "verdict:    PROVED"); n != 4 {
+		t.Fatalf("%d PROVED verdicts, want 4:\n%s", n, stdout)
+	}
+	for _, want := range []string{"channel:    FIFO", "por:        off (FIFO discipline)", "check:      OBSERVED"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+func TestVerifySwindow(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "verify", "swindow-s2-w1")
+	if code != 0 {
+		t.Fatalf("verify swindow-s2-w1 exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "verdict:    VIOLATED") {
+		t.Fatalf("bounded sequence space not broken:\n%s", stdout)
+	}
+}
+
+func TestVerifySwindowUnbounded(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "verify", "swindow-unbounded-w2")
+	if code != 0 {
+		t.Fatalf("verify swindow-unbounded-w2 exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "verdict:    PROVED") {
+		t.Fatalf("unbounded sequence space not PROVED:\n%s", stdout)
+	}
+}
+
+func TestVerifyBudgetOnTinyBudget(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "verify", "-maxstates", "10", "seqnum")
+	if code != 0 {
+		t.Fatalf("verify exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "verdict:    BUDGET") || !strings.Contains(stdout, "budget 10 hit") {
+		t.Fatalf("tiny budget not reported:\n%s", stdout)
+	}
+}
+
+func TestVerifySpecialProtocols(t *testing.T) {
+	for _, name := range []string{"livelock", "cntnobind"} {
+		if code, stdout, stderr := runCmd(t, "verify", "-maxmsg", "2", name); code != 0 {
+			t.Fatalf("%s exited %d: %s\n%s", name, code, stderr, stdout)
+		}
+	}
+}
+
+func TestVerifyFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"verify", "-badflag", "altbit"},
+		{"verify"},
+		{"verify", "-fifo", "-stabilize", "altbit"},
+	} {
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Errorf("args %v exited %d, want 2", args, code)
+		}
+	}
+}

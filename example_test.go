@@ -53,25 +53,29 @@ func ExampleReplaySearch() {
 }
 
 // Exhaustive bounded model checking: every channel behaviour within the
-// bounds, with a shortest counterexample or a safe-within-bounds verdict.
-func ExampleExplore() {
-	broken, err := nonfifo.Explore(nonfifo.AltBit(), nonfifo.ExploreConfig{
-		Messages: 2, MaxDataSends: 4, MaxAckSends: 4,
-	})
+// bounds, with a replay-confirmed witness or a PROVED verdict. The FIFO
+// discipline isolates reordering as what breaks the alternating bit
+// protocol.
+func ExampleVerify() {
+	broken, err := nonfifo.Verify(nonfifo.AltBit(), nonfifo.VerifyConfig{MaxMessages: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	safe, err := nonfifo.Explore(nonfifo.SeqNum(), nonfifo.ExploreConfig{
-		Messages: 2, MaxDataSends: 4, MaxAckSends: 4,
-	})
+	fifo, err := nonfifo.Verify(nonfifo.AltBit(), nonfifo.VerifyConfig{MaxMessages: 2, FIFO: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("altbit broken:", broken.Violation != nil)
-	fmt.Println("seqnum safe and exhausted:", safe.Violation == nil && safe.Exhausted)
+	safe, err := nonfifo.Verify(nonfifo.SeqNum(), nonfifo.VerifyConfig{MaxMessages: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("altbit:", broken.Verdict, broken.Property)
+	fmt.Println("altbit over FIFO:", fifo.Verdict)
+	fmt.Println("seqnum:", safe.Verdict)
 	// Output:
-	// altbit broken: true
-	// seqnum safe and exhausted: true
+	// altbit: VIOLATED DL1
+	// altbit over FIFO: PROVED
+	// seqnum: PROVED
 }
 
 // Measuring the P_f-boundness curve (Definition 6): the packets needed to

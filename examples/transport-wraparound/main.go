@@ -4,9 +4,10 @@
 // A sliding window transport protocol with sequence numbers mod S has a
 // bounded header alphabet, so Theorem 3.1's dichotomy applies one layer up:
 // a segment delayed for a full wrap of the sequence space aliases into the
-// receive window and is accepted as a new message. The exhaustive explorer
-// finds the shortest such execution automatically; the unbounded-sequence
-// variant survives the same exhaustive adversary.
+// receive window and is accepted as a new message. The bounded prover finds
+// the shortest such execution automatically and confirms it by replay; the
+// unbounded-sequence variant is PROVED against the same exhaustive
+// adversary.
 package main
 
 import (
@@ -20,33 +21,33 @@ func main() {
 	// Part 1: sequence numbers mod 2, window 1 — TCP with a 1-bit
 	// sequence field, over a network that can reorder.
 	bounded := nonfifo.SlidingWindow(2, 1)
-	rep, err := nonfifo.Explore(bounded, nonfifo.ExploreConfig{
-		Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-	})
+	rep, err := nonfifo.Verify(bounded, nonfifo.VerifyConfig{MaxMessages: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep.Violation == nil {
+	if rep.Verdict != "VIOLATED" || !rep.WitnessConfirmed {
 		log.Fatal("unexpected: the bounded sequence space should be breakable")
 	}
+	rr, err := nonfifo.Replay(rep.Witness)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s over a non-FIFO virtual link:\n", bounded.Name())
-	fmt.Printf("  %v\n", rep.Violation)
-	fmt.Printf("  shortest counterexample (%d events, %d states explored):\n\n%s\n",
-		len(rep.Counterexample), rep.States, rep.Counterexample)
+	fmt.Printf("  %s: %s\n", rep.Property, rep.Detail)
+	fmt.Printf("  shortest witness (%d ops, %d states explored), replayed:\n\n%s\n",
+		rep.WitnessOps, rep.States, rr.Trace)
 
 	// Part 2: the same window with unbounded sequence numbers survives the
 	// identical exhaustive adversary.
 	unbounded := nonfifo.SlidingWindow(0, 2)
-	safe, err := nonfifo.Explore(unbounded, nonfifo.ExploreConfig{
-		Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-	})
+	safe, err := nonfifo.Verify(unbounded, nonfifo.VerifyConfig{MaxMessages: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if safe.Violation != nil {
+	if safe.Verdict != "PROVED" {
 		log.Fatal("unexpected: unbounded sequence numbers should be safe")
 	}
-	fmt.Printf("%s: SAFE — %d states exhausted, no violating interleaving exists\n",
+	fmt.Printf("%s: PROVED — %d states exhausted, no violating interleaving exists\n",
 		unbounded.Name(), safe.States)
 	fmt.Println()
 	fmt.Println("Theorem 3.1, one layer up: a transport protocol either spends unbounded")

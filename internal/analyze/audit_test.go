@@ -252,3 +252,29 @@ func TestAuditObservedWithoutDeclaration(t *testing.T) {
 		t.Fatalf("Declared = %+v, want nil", rep.Declared)
 	}
 }
+
+// TestStateSpaceAltbitFinite: the alternating bit protocol is finite-state,
+// and the exhaustive audit finds the small k_t·k_r product Theorem 2.1's
+// experiment (E1) compares the measured boundness against.
+func TestStateSpaceAltbitFinite(t *testing.T) {
+	rep := Audit(protocol.NewAltBit(), AuditConfig{})
+	if !rep.Exhausted {
+		t.Fatalf("altbit audit did not exhaust at %d states", rep.States)
+	}
+	if rep.KT != 4 || rep.KR != 2 {
+		t.Fatalf("altbit k_t, k_r = %d, %d, want 4, 2", rep.KT, rep.KR)
+	}
+}
+
+// TestStateSpaceCountingGrows: the counting protocols' control states carry
+// history counters, so at the same budget the audit observes more of them
+// than the alternating bit protocol has.
+func TestStateSpaceCountingGrows(t *testing.T) {
+	cfg := AuditConfig{MaxStates: 1 << 12}
+	a := Audit(protocol.NewAltBit(), cfg)
+	c := Audit(protocol.NewCntExp(), cfg)
+	if c.KT <= a.KT || c.KR <= a.KR {
+		t.Fatalf("counting control space should exceed altbit: altbit=(%d,%d) cntexp=(%d,%d)",
+			a.KT, a.KR, c.KT, c.KR)
+	}
+}

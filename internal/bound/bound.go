@@ -10,9 +10,9 @@
 // P_f-boundness (Definitions 5 and 6) are then measured curves over
 // families of semi-valid executions.
 //
-// StateSpace supports the Theorem 2.1 check: it enumerates the distinct
-// endpoint states reachable over a family of channel behaviours, so that a
-// measured boundness can be compared against the k_t·k_r product.
+// The Theorem 2.1 check compares a measured boundness against the k_t·k_r
+// product of control-state counts, which the exhaustive boundness audit
+// (internal/analyze) supplies.
 package bound
 
 import (
@@ -135,50 +135,4 @@ func BuildInTransit(p protocol.Protocol, l, budget int) (*sim.Runner, error) {
 	}
 	r.SetPolicies(channel.Reliable(), channel.Reliable())
 	return r, nil
-}
-
-// StateSpace runs the protocol over a family of deterministic channel
-// behaviours with the constant-payload convention and reports the number of
-// distinct transmitter and receiver state keys observed. For finite-state
-// protocols (altbit) this is an empirical estimate of k_t and k_r, the
-// quantities in Theorem 2.1's k_t·k_r bound.
-func StateSpace(p protocol.Protocol, messages int) (tStates, rStates int, err error) {
-	tSeen := make(map[string]bool)
-	rSeen := make(map[string]bool)
-	behaviours := []func() channel.Policy{
-		channel.Reliable,
-		func() channel.Policy { return channel.DropEvery(2) },
-		func() channel.Policy { return channel.DropEvery(3) },
-		func() channel.Policy { return channel.DelayFirst(1) },
-		func() channel.Policy { return channel.DelayFirst(2) },
-	}
-	for _, mkData := range behaviours {
-		for _, mkAck := range behaviours {
-			r := sim.NewRunner(sim.Config{
-				Protocol:   p,
-				DataPolicy: mkData(),
-				AckPolicy:  mkAck(),
-				Payload:    func(int) string { return "m" },
-			})
-			tSeen[r.T.StateKey()] = true
-			rSeen[r.R.StateKey()] = true
-			for i := 0; i < messages; i++ {
-				r.SubmitMsg("m")
-				tSeen[r.T.StateKey()] = true
-				for steps := 0; r.T.Busy(); steps++ {
-					if steps > 1<<16 {
-						return len(tSeen), len(rSeen), fmt.Errorf("bound: state sweep stalled")
-					}
-					progressed := r.StepTransmit()
-					r.DrainAcks()
-					tSeen[r.T.StateKey()] = true
-					rSeen[r.R.StateKey()] = true
-					if !progressed && r.T.Busy() {
-						return len(tSeen), len(rSeen), fmt.Errorf("bound: state sweep: no enabled output")
-					}
-				}
-			}
-		}
-	}
-	return len(tSeen), len(rSeen), nil
 }

@@ -3,6 +3,7 @@ package bound
 import (
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 )
@@ -152,47 +153,16 @@ func TestMeasurePfRecordsInTransit(t *testing.T) {
 	}
 }
 
-func TestStateSpaceAltbitFinite(t *testing.T) {
-	// The alternating bit protocol under the constant-payload convention
-	// is finite-state; the sweep must find a small product.
-	kt, kr, err := StateSpace(protocol.NewAltBit(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kt == 0 || kr == 0 {
-		t.Fatal("state sweep found no states")
-	}
-	if kt > 8 || kr > 8 {
-		t.Fatalf("altbit state counts too large: kt=%d kr=%d", kt, kr)
-	}
-}
-
-func TestStateSpaceCountingGrows(t *testing.T) {
-	// The counting protocols' state keys include history counters, so the
-	// observed state count exceeds altbit's — space grows with execution.
-	ktA, krA, err := StateSpace(protocol.NewAltBit(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ktC, krC, err := StateSpace(protocol.NewCntExp(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ktC <= ktA || krC <= krA {
-		t.Fatalf("counting state space should exceed altbit: altbit=(%d,%d) cntexp=(%d,%d)",
-			ktA, krA, ktC, krC)
-	}
-}
-
 // TestTheorem21BoundnessWithinProduct is the E1 check: the measured
 // boundness of the finite-state alternating bit protocol is at most the
-// product of its observed state counts (Theorem 2.1: any protocol is
+// product of its audited control-state counts (Theorem 2.1: any protocol is
 // k_t·k_r-bounded).
 func TestTheorem21BoundnessWithinProduct(t *testing.T) {
-	kt, kr, err := StateSpace(protocol.NewAltBit(), 6)
-	if err != nil {
-		t.Fatal(err)
+	audit := analyze.Audit(protocol.NewAltBit(), analyze.AuditConfig{})
+	if !audit.Exhausted {
+		t.Fatal("altbit audit did not exhaust")
 	}
+	kt, kr := audit.KT, audit.KR
 	samples, err := MeasureMf(protocol.NewAltBit(), 10, budget)
 	if err != nil {
 		t.Fatal(err)

@@ -124,6 +124,17 @@ func (c *NonFIFO) PacketAt(i int) ioa.Packet { return c.transit.At(i) }
 // DistinctPackets reports the number of distinct in-transit packet values.
 func (c *NonFIFO) DistinctPackets() int { return c.transit.Distinct() }
 
+// Deliverable reports how many distinct packets the next delivery or drop
+// may take: over the non-FIFO multiset, every distinct in-transit value
+// (DistinctPackets). DeliverableAt enumerates them in PacketAt order; the
+// pair lets an explorer fan out over either channel discipline with one
+// loop (FIFO exposes only its head).
+func (c *NonFIFO) Deliverable() int { return c.transit.Distinct() }
+
+// DeliverableAt returns the i-th deliverable packet; i must be below
+// Deliverable.
+func (c *NonFIFO) DeliverableAt(i int) ioa.Packet { return c.transit.At(i) }
+
 // Transit returns a deep copy of the in-transit multiset.
 func (c *NonFIFO) Transit() *mset.Multiset[ioa.Packet] { return c.transit.Clone() }
 

@@ -54,6 +54,35 @@ func (c *FIFO) DropHead() error {
 	return nil
 }
 
+// Deliver removes the head copy if it is p. A FIFO channel delivers in send
+// order only, so any other packet is refused, mirroring NonFIFO.Deliver's
+// refusal of a packet with no copy in transit.
+func (c *FIFO) Deliver(p ioa.Packet) error {
+	if h, ok := c.Head(); !ok || h != p {
+		return fmt.Errorf("channel %s: deliver %s: not the head of the FIFO queue", c.dir, p)
+	}
+	_, err := c.DeliverHead()
+	return err
+}
+
+// Drop discards the head copy if it is p; like Deliver, it refuses any
+// other packet.
+func (c *FIFO) Drop(p ioa.Packet) error {
+	if h, ok := c.Head(); !ok || h != p {
+		return fmt.Errorf("channel %s: drop %s: not the head of the FIFO queue", c.dir, p)
+	}
+	return c.DropHead()
+}
+
+// Deliverable reports how many distinct packets the next delivery or drop
+// may take: the head alone, or none on an empty queue. DeliverableAt(0) is
+// the head.
+func (c *FIFO) Deliverable() int { return min(len(c.queue), 1) }
+
+// DeliverableAt returns the i-th deliverable packet; i must be below
+// Deliverable.
+func (c *FIFO) DeliverableAt(i int) ioa.Packet { return c.queue[i] }
+
 // InTransit reports the number of queued packets.
 func (c *FIFO) InTransit() int { return len(c.queue) }
 
@@ -88,6 +117,18 @@ func (c *FIFO) Key() string {
 	return s + "]"
 }
 
+// AppendKey appends the canonical encoding (identical to Key) to dst.
+func (c *FIFO) AppendKey(dst []byte) []byte {
+	dst = append(dst, '[')
+	for i, p := range c.queue {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = AppendPacket(dst, p)
+	}
+	return append(dst, ']')
+}
+
 // Sent reports the total send count.
 func (c *FIFO) Sent() int { return c.sent }
 
@@ -103,3 +144,22 @@ func (c *FIFO) Clone() *FIFO {
 	copy(q, c.queue)
 	return &FIFO{dir: c.dir, queue: q, sent: c.sent, recvd: c.recvd, dropped: c.dropped}
 }
+
+// CloneInto overwrites dst with a deep copy of c, reusing dst's queue
+// backing array.
+func (c *FIFO) CloneInto(dst *FIFO) {
+	dst.dir = c.dir
+	dst.queue = append(dst.queue[:0], c.queue...)
+	dst.sent = c.sent
+	dst.recvd = c.recvd
+	dst.dropped = c.dropped
+}
+
+// FIFOGenie adapts a FIFO channel to the Genie interface, as ChannelGenie
+// does a NonFIFO one.
+type FIFOGenie struct {
+	Ch *FIFO
+}
+
+// Stale implements Genie.
+func (g FIFOGenie) Stale(header string) int { return g.Ch.CountHeader(header) }

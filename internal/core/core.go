@@ -27,6 +27,7 @@ import (
 	"math/rand"
 
 	"repro/internal/adversary"
+	"repro/internal/analyze"
 	"repro/internal/bound"
 	"repro/internal/channel"
 	"repro/internal/protocol"
@@ -119,8 +120,8 @@ func (r E0Result) Table() *Table {
 
 // E1Result is the outcome of experiment E1.
 type E1Result struct {
-	// KT and KR are the observed state counts of the alternating bit
-	// automata under the constant-payload convention.
+	// KT and KR are the alternating bit endpoints' distinct control states,
+	// from the exhaustive boundness audit (analyze.Audit).
 	KT, KR int
 	// MaxBoundness is the largest measured closing cost over the M_f
 	// sweep: the protocol's empirical boundness.
@@ -137,10 +138,11 @@ type E1Result struct {
 func RunE1() (E1Result, error) {
 	var res E1Result
 	var err error
-	res.KT, res.KR, err = bound.StateSpace(protocol.NewAltBit(), 6)
-	if err != nil {
-		return res, fmt.Errorf("E1 state space: %w", err)
+	audit := analyze.Audit(protocol.NewAltBit(), analyze.AuditConfig{})
+	if !audit.Exhausted {
+		return res, fmt.Errorf("E1 state space: altbit audit did not exhaust within %d states", audit.MaxStates)
 	}
+	res.KT, res.KR = audit.KT, audit.KR
 	samples, err := bound.MeasureMf(protocol.NewAltBit(), 10, budget)
 	if err != nil {
 		return res, fmt.Errorf("E1 boundness: %w", err)

@@ -40,6 +40,9 @@ func TestE1WithinProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.KT != 4 || res.KR != 2 {
+		t.Fatalf("altbit k_t, k_r = %d, %d, want 4, 2", res.KT, res.KR)
+	}
 	if res.MaxBoundness > res.KT*res.KR {
 		t.Fatalf("Theorem 2.1 violated by measurement: boundness %d > %d·%d",
 			res.MaxBoundness, res.KT, res.KR)
@@ -317,10 +320,10 @@ func TestE7TransportShapes(t *testing.T) {
 	}
 	for _, name := range []string{"swindow-s2-w1", "swindow-s3-w1", "gbn-s2-w1", "altbit"} {
 		if !got[name].Broken {
-			t.Fatalf("%s should be broken by the explorer: %+v", name, got[name])
+			t.Fatalf("%s should be broken by the prover: %+v", name, got[name])
 		}
-		if got[name].CexLength == 0 {
-			t.Fatalf("%s counterexample length missing", name)
+		if got[name].WitnessOps == 0 {
+			t.Fatalf("%s witness length missing", name)
 		}
 	}
 	for _, name := range []string{"swindow-unbounded-w2", "gbn-unbounded-w2", "seqnum", "cntlinear"} {
@@ -382,8 +385,8 @@ func TestE9Ablations(t *testing.T) {
 		if !got[v].Broken {
 			t.Fatalf("ablation %s should be broken", v)
 		}
-		if got[v].CexLength == 0 {
-			t.Fatalf("ablation %s missing counterexample length", v)
+		if got[v].WitnessOps == 0 {
+			t.Fatalf("ablation %s missing witness length", v)
 		}
 	}
 }

@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/bound"
 	"repro/internal/channel"
-	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/ioauto"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
+	"repro/internal/verify"
 )
 
 // --- E2d: the Theorem 3.1 inductive construction, instrumented ---
@@ -118,56 +119,67 @@ func (r E2dResult) HistoryTable() *Table {
 
 // --- E7: the transport-layer extension ---
 
-// E7Row is one protocol's outcome under the exhaustive explorer.
+// E7Row is one protocol's outcome under the bounded prover.
 type E7Row struct {
-	Protocol  string
-	HeaderK   int
-	Bounded   bool
-	Broken    bool
-	CexLength int
-	States    int
-	Exhausted bool
+	Protocol   string
+	HeaderK    int
+	Bounded    bool
+	Broken     bool
+	WitnessOps int
+	States     int
+	Exhausted  bool
+}
+
+// prove runs the bounded prover (internal/verify) for one experiment row at
+// the default occupancy cap. A FAIL check — a witness that failed its
+// replay confirmation, or a contradicted declaration — is an error, never a
+// table entry.
+func prove(p protocol.Protocol, messages int, fifo bool) (*verify.Report, error) {
+	rep, err := verify.Run(p, verify.Config{MaxMessages: messages, FIFO: fifo})
+	if err != nil {
+		return nil, err
+	}
+	if rep.Check == verify.CheckFail {
+		return nil, fmt.Errorf("verify: %s", strings.Join(rep.Failures, "; "))
+	}
+	return rep, nil
 }
 
 // RunE7 realises the paper's closing remark — "all our results can be
 // extended to transport layer protocols over non-FIFO virtual links" — by
-// running the bounded-exhaustive explorer against sliding window transport
-// protocols with finite (mod-S) and unbounded sequence spaces, alongside
-// the data link protocols for reference.
+// running the bounded prover against sliding window transport protocols
+// with finite (mod-S) and unbounded sequence spaces, alongside the data
+// link protocols for reference.
 func RunE7() ([]E7Row, error) {
-	type target struct {
-		p   protocol.Protocol
-		cfg explore.Config
-	}
-	targets := []target{
-		{transport.New(2, 1), explore.Config{Messages: 3, MaxDataSends: 6, MaxAckSends: 6}},
-		{transport.New(3, 1), explore.Config{Messages: 4, MaxDataSends: 8, MaxAckSends: 8}},
-		{transport.New(0, 2), explore.Config{Messages: 3, MaxDataSends: 6, MaxAckSends: 6}},
-		{transport.NewGoBackN(2, 1), explore.Config{Messages: 3, MaxDataSends: 6, MaxAckSends: 6}},
-		{transport.NewGoBackN(0, 2), explore.Config{Messages: 3, MaxDataSends: 6, MaxAckSends: 6}},
-		{protocol.NewAltBit(), explore.Config{Messages: 2, MaxDataSends: 4, MaxAckSends: 4}},
-		{protocol.NewSeqNum(), explore.Config{Messages: 2, MaxDataSends: 4, MaxAckSends: 4}},
-		{protocol.NewCntLinear(), explore.Config{Messages: 2, MaxDataSends: 4, MaxAckSends: 4}},
+	targets := []struct {
+		p        protocol.Protocol
+		messages int
+	}{
+		{transport.New(2, 1), 3},
+		{transport.New(3, 1), 4},
+		{transport.New(0, 2), 3},
+		{transport.NewGoBackN(2, 1), 3},
+		{transport.NewGoBackN(0, 2), 3},
+		{protocol.NewAltBit(), 2},
+		{protocol.NewSeqNum(), 2},
+		{protocol.NewCntLinear(), 2},
 	}
 	var rows []E7Row
 	for _, tg := range targets {
-		rep, err := explore.Explore(tg.p, tg.cfg)
+		rep, err := prove(tg.p, tg.messages, false)
 		if err != nil {
 			return rows, fmt.Errorf("E7 %s: %w", tg.p.Name(), err)
 		}
 		k, bounded := tg.p.HeaderBound()
-		row := E7Row{
-			Protocol:  tg.p.Name(),
-			HeaderK:   k,
-			Bounded:   bounded,
-			States:    rep.States,
-			Exhausted: rep.Exhausted,
-		}
-		if rep.Violation != nil {
-			row.Broken = true
-			row.CexLength = len(rep.Counterexample)
-		}
-		rows = append(rows, row)
+		rows = append(rows, E7Row{
+			Protocol:   tg.p.Name(),
+			HeaderK:    k,
+			Bounded:    bounded,
+			Broken:     rep.Verdict == verify.VerdictViolated,
+			WitnessOps: rep.WitnessOps,
+			States:     rep.States,
+			Exhausted:  rep.Exhausted,
+		})
 	}
 	return rows, nil
 }
@@ -177,9 +189,9 @@ func E7Table(rows []E7Row) *Table {
 	t := &Table{
 		ID:    "E7",
 		Title: "transport layer over non-FIFO virtual links — exhaustive exploration",
-		Note:  "expected: every finite sequence space (bounded headers) falls with a shortest counterexample; unbounded variants verify safe over the exhausted bounded space",
+		Note:  "expected: every finite sequence space (bounded headers) falls with a shortest replay-confirmed witness; unbounded variants are PROVED over the exhausted bounded space",
 		Columns: []string{
-			"protocol", "headers", "broken", "shortest cex (events)", "states", "space exhausted",
+			"protocol", "headers", "broken", "shortest witness (ops)", "states", "space exhausted",
 		},
 	}
 	for _, r := range rows {
@@ -189,7 +201,7 @@ func E7Table(rows []E7Row) *Table {
 		}
 		cex := "-"
 		if r.Broken {
-			cex = fmt.Sprint(r.CexLength)
+			cex = fmt.Sprint(r.WitnessOps)
 		}
 		t.AddRow(r.Protocol, k, r.Broken, cex, r.States, r.Exhausted)
 	}
@@ -207,7 +219,7 @@ type E8Row struct {
 	Exhausted bool
 }
 
-// RunE8 runs the exhaustive explorer over both channel disciplines. The
+// RunE8 runs the bounded prover over both channel disciplines. The
 // paper's lower bounds are specifically about NON-FIFO channels; the
 // contrast makes that precise: every unsafe protocol here falls only under
 // reordering, and is exhaustively safe over the lossy FIFO channel at the
@@ -222,17 +234,14 @@ func RunE8() ([]E8Row, error) {
 	var rows []E8Row
 	for _, p := range ps {
 		for _, fifo := range []bool{false, true} {
-			rep, err := explore.Explore(p, explore.Config{
-				Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-				FIFO: fifo, AllowDrop: fifo,
-			})
+			rep, err := prove(p, 3, fifo)
 			if err != nil {
 				return rows, fmt.Errorf("E8 %s fifo=%t: %w", p.Name(), fifo, err)
 			}
 			rows = append(rows, E8Row{
 				Protocol:  p.Name(),
 				FIFO:      fifo,
-				Broken:    rep.Violation != nil,
+				Broken:    rep.Verdict == verify.VerdictViolated,
 				States:    rep.States,
 				Exhausted: rep.Exhausted,
 			})
@@ -304,15 +313,15 @@ func (r ungeniedR) StateSize() int   { return r.inner.StateSize() }
 
 // E9Row is one ablation outcome.
 type E9Row struct {
-	Variant   string
-	Ablation  string
-	Broken    bool
-	CexLength int
-	States    int
+	Variant    string
+	Ablation   string
+	Broken     bool
+	WitnessOps int
+	States     int
 }
 
 // RunE9 ablates the counting protocol's three load-bearing design choices
-// and lets the exhaustive explorer judge each variant:
+// and lets the bounded prover judge each variant:
 //
 //	cntlinear            — the full protocol (baseline): safe;
 //	cheat1               — threshold lowered by one: broken (Theorem 4.1's
@@ -335,18 +344,17 @@ func RunE9() ([]E9Row, error) {
 	}
 	var rows []E9Row
 	for _, v := range variants {
-		rep, err := explore.Explore(v.p, explore.Config{
-			Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-		})
+		rep, err := prove(v.p, 3, false)
 		if err != nil {
 			return rows, fmt.Errorf("E9 %s: %w", v.p.Name(), err)
 		}
-		row := E9Row{Variant: v.p.Name(), Ablation: v.ablation, States: rep.States}
-		if rep.Violation != nil {
-			row.Broken = true
-			row.CexLength = len(rep.Counterexample)
-		}
-		rows = append(rows, row)
+		rows = append(rows, E9Row{
+			Variant:    v.p.Name(),
+			Ablation:   v.ablation,
+			Broken:     rep.Verdict == verify.VerdictViolated,
+			WitnessOps: rep.WitnessOps,
+			States:     rep.States,
+		})
 	}
 	return rows, nil
 }
@@ -358,13 +366,13 @@ func E9Table(rows []E9Row) *Table {
 		Title: "counting-protocol ablations under exhaustive exploration",
 		Note:  "expected: the baseline survives; removing any one design ingredient (full threshold, payload binding, stale oracle) yields a counterexample",
 		Columns: []string{
-			"variant", "ablation", "broken", "shortest cex (events)", "states",
+			"variant", "ablation", "broken", "shortest witness (ops)", "states",
 		},
 	}
 	for _, r := range rows {
 		cex := "-"
 		if r.Broken {
-			cex = fmt.Sprint(r.CexLength)
+			cex = fmt.Sprint(r.WitnessOps)
 		}
 		t.AddRow(r.Variant, r.Ablation, r.Broken, cex, r.States)
 	}
@@ -554,15 +562,15 @@ func E11Table(rows []E11Series, n int) *Table {
 // E12Row is one (system, formalism, discipline) verdict.
 type E12Row struct {
 	System     string
-	Formalism  string // "endpoints" (explore) or "automata" (ioauto)
+	Formalism  string // "endpoints" (verify) or "automata" (ioauto)
 	Discipline string // "non-FIFO" or "FIFO"
 	Broken     bool
 	States     int
 }
 
-// RunE12 checks that the two exhaustive formulations — the concrete
-// endpoint explorer and the [LT87] I/O automaton reachability — return the
-// same verdict for the two boundary protocols under both channel
+// RunE12 checks that the two exhaustive formulations — the bounded prover
+// over concrete endpoints and the [LT87] I/O automaton reachability —
+// return the same verdict for the two boundary protocols under both channel
 // disciplines. (The third formulation, the specification automata of
 // internal/spec, re-checks every counterexample trace; adversary
 // certificates run through it in Recheck.)
@@ -590,16 +598,13 @@ func RunE12() ([]E12Row, error) {
 				disc = "FIFO"
 				kind = ioauto.FIFOKind
 			}
-			exp, err := explore.Explore(s.conc, explore.Config{
-				Messages: 2, MaxDataSends: 4, MaxAckSends: 4,
-				FIFO: fifo, AllowDrop: fifo, ConstantPayload: true,
-			})
+			exp, err := prove(s.conc, 2, fifo)
 			if err != nil {
-				return rows, fmt.Errorf("E12 explore %s/%s: %w", s.name, disc, err)
+				return rows, fmt.Errorf("E12 verify %s/%s: %w", s.name, disc, err)
 			}
 			rows = append(rows, E12Row{
 				System: s.name, Formalism: "endpoints", Discipline: disc,
-				Broken: exp.Violation != nil, States: exp.States,
+				Broken: exp.Verdict == verify.VerdictViolated, States: exp.States,
 			})
 			a, err := s.aut(kind)
 			if err != nil {

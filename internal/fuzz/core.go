@@ -11,11 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Core is the interned execution engine: an Execute with the same observable
-// phenotype (coverage points, verdicts, logs — the differential harness in
-// internal/simdiff holds the two equal) built for throughput. Where Execute
-// allocates a runner per input, renders two StateKey strings per operation
-// and re-scans the recorded trace with the batch checkers, a Core:
+// Core is the interned execution engine, built for throughput. It has the
+// observable phenotype (coverage points, verdicts, logs) of a plain
+// string-keyed executor — the package tests keep that reference and hold the
+// two equal. Where the reference allocates a runner per input, renders two
+// StateKey strings per operation and re-scans the recorded trace with the
+// batch checkers, a Core:
 //
 //   - pools one sim.Runner and resets it per input, recycling the channel
 //     multisets, recorder and metrics slices;
@@ -58,9 +59,14 @@ func NewCore(proto protocol.Protocol) *Core {
 	}
 }
 
-// Execute drives one input and reports coverage and verdicts, exactly as the
-// package-level Execute does — same points, same verdicts, same log — via
-// the interned fast path.
+// Execute drives one input against a fresh instance of the Core's protocol
+// and reports coverage and verdicts. withLog additionally records the
+// execution as a replayable trace.Log (costlier; used only when promoting a
+// winner or seeding certificates).
+//
+// Execution is total and deterministic: every syntactically valid input is a
+// feasible schedule (infeasible stale picks are no-ops, dry decision streams
+// fall back to Delay) and two executions of the same input are identical.
 func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 	res := &ExecResult{Points: make([]uint64, 0, len(in.Ops))}
 
@@ -167,14 +173,16 @@ func (c *Core) Execute(in *Input, withLog bool) *ExecResult {
 }
 
 // FNV-64a, inlined so the midstate can be cached mid-stream. The constants
-// and update rule are hash/fnv's; cover.go's point() is the reference.
+// and update rule are hash/fnv's; the string reference point() in the
+// package tests is what this must match.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
 // point computes the coverage point of the runner's current joint
-// configuration, bit-identical to cover.go's point(r.JointState()).
+// configuration, bit-identical to the string reference
+// point(r.JointState()) in the package tests.
 //
 // The string point hashes tkey · 0x00 · rkey · 0x00 · bucket(data) ·
 // bucket(ack). FNV-64a consumes bytes strictly left to right, so the hash

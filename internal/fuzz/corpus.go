@@ -75,8 +75,9 @@ func Distill(proto protocol.Protocol, inputs []*Input) []*Input {
 		points []uint64
 	}
 	pool := make([]*scored, 0, len(inputs))
+	c := NewCore(proto)
 	for _, in := range inputs {
-		res := Execute(proto, in, false)
+		res := c.Execute(in, false)
 		pool = append(pool, &scored{in: in, points: res.Points})
 	}
 	covered := make(coverSet)

@@ -123,14 +123,14 @@ func TestResolveCorruption(t *testing.T) {
 func TestExecuteCorruptedJudgesByAmnesty(t *testing.T) {
 	p := protocol.NewStabNaive()
 	in := SeedInputs()[0]
-	clean := Execute(p, in, false)
+	clean := NewCore(p).Execute(in, false)
 	if clean.Verdict != nil {
 		t.Fatalf("benign seed violates %v from a clean start", clean.Verdict)
 	}
 
 	corrupted := in.Clone()
 	corrupted.Corrupt = &CorruptGene{Data: []uint8{0}}
-	res := Execute(p, corrupted, false)
+	res := NewCore(p).Execute(corrupted, false)
 	if res.Corruption.Clean() {
 		t.Fatalf("gene resolved to the clean start")
 	}

@@ -24,16 +24,6 @@ func occBucket(n int) int {
 	return b
 }
 
-// point hashes one joint configuration into a coverage point.
-func point(tkey, rkey string, dataTransit, ackTransit int) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(tkey))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(rkey))
-	_, _ = h.Write([]byte{0, byte(occBucket(dataTransit)), byte(occBucket(ackTransit))})
-	return h.Sum64()
-}
-
 // livelockPoint hashes a certified livelock's cycle length (in driver
 // operations, log-bucketed like channel occupancy) into the coverage space.
 // It rewards campaigns for reaching structurally different livelocks — a

@@ -48,12 +48,6 @@ type Config struct {
 	// the corruption's amnesty. Off by default — enabling it changes the
 	// campaign's RNG trajectory relative to a clean run with the same seed.
 	Corrupt bool
-	// StringCore forces the legacy string-keyed executor (Execute) instead of
-	// the interned Core. The two are phenotype-identical — same coverage
-	// points, verdicts and certificates, so the campaign trajectory does not
-	// depend on the flag — and the differential harness (internal/simdiff)
-	// and the A/B benchmark rows exist to keep it that way.
-	StringCore bool
 	// Stats, when non-nil, receives a progress line every StatsEvery
 	// (default 1s).
 	Stats      io.Writer
@@ -159,7 +153,7 @@ func Run(cfg Config) (*Result, error) {
 		wins:   make(map[string]*Violation),
 		start:  cfg.Clock(),
 	}
-	c.exec = c.newExec()
+	c.exec = newExecutor(cfg.Protocol)
 
 	// Seed the corpus: canonical starting schedules plus any persisted
 	// entries from a previous run. Every initial input is executed (and
@@ -195,17 +189,14 @@ func Run(cfg Config) (*Result, error) {
 	return c.result(), nil
 }
 
-// newExec builds an executor closure for one goroutine: the string reference
-// Execute under Config.StringCore, otherwise a fresh interned Core. Cores are
-// not safe for concurrent use, so each worker calls newExec itself; the
+// newExecutor builds an executor for one goroutine: a fresh interned Core.
+// Cores are not safe for concurrent use, so each worker builds its own; the
 // campaign's own c.exec serves the seeding loop, the serial loop and the
-// merger-side promotions, which all run on one goroutine.
-func (c *campaign) newExec() func(in *Input, withLog bool) *ExecResult {
-	if c.cfg.StringCore {
-		proto := c.cfg.Protocol
-		return func(in *Input, withLog bool) *ExecResult { return Execute(proto, in, withLog) }
-	}
-	return NewCore(c.cfg.Protocol).Execute
+// merger-side promotions, which all run on one goroutine. It is a variable
+// so the package's tests can hold a whole campaign to the string reference
+// executor.
+var newExecutor = func(p protocol.Protocol) func(in *Input, withLog bool) *ExecResult {
+	return NewCore(p).Execute
 }
 
 // observe merges one execution into the campaign: coverage admission and
@@ -501,7 +492,7 @@ func (c *campaign) parallel() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(core.SplitSeed(c.cfg.Seed, "fuzz-worker-"+strconv.Itoa(id))))
 			local := make(coverSet)
-			exec := c.newExec() // per-worker: cores are single-goroutine
+			exec := newExecutor(c.cfg.Protocol) // per-worker: cores are single-goroutine
 			for !c.stop.Load() {
 				if c.execs.Add(1) > c.cfg.Budget {
 					c.execs.Add(-1)

@@ -57,8 +57,8 @@ func TestExecuteDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		in = Mutate(in, rng)
 	}
-	a := Execute(protocol.NewAltBit(), in, false)
-	b := Execute(protocol.NewAltBit(), in, false)
+	a := NewCore(protocol.NewAltBit()).Execute(in, false)
+	b := NewCore(protocol.NewAltBit()).Execute(in, false)
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("nondeterministic execution: %d vs %d points", len(a.Points), len(b.Points))
 	}
@@ -71,12 +71,12 @@ func TestExecuteDeterministic(t *testing.T) {
 
 func TestTrimPreservesExecution(t *testing.T) {
 	in := SeedInputs()[0]
-	res := Execute(protocol.NewAltBit(), in, false)
+	res := NewCore(protocol.NewAltBit()).Execute(in, false)
 	trimmed := Trim(in, res)
 	if len(trimmed.Data) > len(in.Data) || len(trimmed.Ack) > len(in.Ack) {
 		t.Fatalf("trim grew the input")
 	}
-	res2 := Execute(protocol.NewAltBit(), trimmed, false)
+	res2 := NewCore(protocol.NewAltBit()).Execute(trimmed, false)
 	if len(res.Points) != len(res2.Points) {
 		t.Fatalf("trim changed the execution: %d vs %d points", len(res.Points), len(res2.Points))
 	}
@@ -240,7 +240,7 @@ func TestSeedsAreBenign(t *testing.T) {
 	for _, name := range protocol.Names() {
 		proto := reg[name]
 		for i, in := range SeedInputs() {
-			if res := Execute(proto, in, false); res.Verdict != nil {
+			if res := NewCore(proto).Execute(in, false); res.Verdict != nil {
 				t.Errorf("seed %d violates %s on %s", i, res.Verdict.Property, name)
 			}
 		}

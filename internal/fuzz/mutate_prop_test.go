@@ -42,8 +42,8 @@ func checkCandidate(t *testing.T, label string, iter int, c *Input) {
 	if !bytes.Equal(out.Encode(), enc) {
 		t.Fatalf("%s iter %d: NFZI round trip not stable", label, iter)
 	}
-	a := Execute(protocol.NewAltBit(), c, false)
-	b := Execute(protocol.NewAltBit(), c, false)
+	a := NewCore(protocol.NewAltBit()).Execute(c, false)
+	b := NewCore(protocol.NewAltBit()).Execute(c, false)
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("%s iter %d: nondeterministic execution: %d vs %d points",
 			label, iter, len(a.Points), len(b.Points))

@@ -45,7 +45,7 @@ func TestDistillGreedySetCover(t *testing.T) {
 	coverOf := func(ins []*Input) coverSet {
 		cs := make(coverSet)
 		for _, in := range ins {
-			cs.addAll(Execute(protocol.NewCheat(1), in, false).Points)
+			cs.addAll(NewCore(protocol.NewCheat(1)).Execute(in, false).Points)
 		}
 		return cs
 	}

@@ -16,7 +16,7 @@
 // endpoint automata, and a data-link specification monitor whose error
 // state is reachable exactly when DL1 is violated.
 //
-// Relationship to the rest of the repo: internal/explore walks the *same*
+// Relationship to the rest of the repo: internal/verify walks the *same*
 // kind of state space through the concrete protocol endpoints, and
 // internal/spec checks traces after the fact. This package is the third,
 // independent formulation — the textbook one — and the tests cross-validate

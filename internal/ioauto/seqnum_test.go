@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/protocol"
+	"repro/internal/verify"
 )
 
 // TestSeqNumVerifiedSafeNonFIFO is the formal headline: the naive protocol
@@ -108,14 +108,12 @@ func TestSeqNumRAutomaton(t *testing.T) {
 
 // --- differential tests: the three formulations agree ---
 
-// TestDifferentialAltbitAcrossFormalisms: the concrete-endpoint explorer
-// and the I/O automaton reachability agree on altbit: broken over
-// non-FIFO, safe over FIFO.
+// TestDifferentialAltbitAcrossFormalisms: the bounded prover over the
+// concrete endpoints and the I/O automaton reachability agree on altbit:
+// broken over non-FIFO, safe over FIFO.
 func TestDifferentialAltbitAcrossFormalisms(t *testing.T) {
-	// Formalism 1: concrete endpoints (internal/explore).
-	exp, err := explore.Explore(protocol.NewAltBit(), explore.Config{
-		Messages: 2, MaxDataSends: 4, MaxAckSends: 4, ConstantPayload: true,
-	})
+	// Formalism 1: concrete endpoints (internal/verify).
+	exp, err := verify.Run(protocol.NewAltBit(), verify.Config{MaxMessages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +126,16 @@ func TestDifferentialAltbitAcrossFormalisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (exp.Violation != nil) != (aut.Found != nil) {
-		t.Fatalf("formalisms disagree on non-FIFO altbit: explore=%v ioauto=%v",
-			exp.Violation, aut.Found)
+	if (exp.Verdict == verify.VerdictViolated) != (aut.Found != nil) {
+		t.Fatalf("formalisms disagree on non-FIFO altbit: verify=%s ioauto=%v",
+			exp.Verdict, aut.Found)
 	}
-	if exp.Violation == nil {
+	if exp.Verdict != verify.VerdictViolated {
 		t.Fatal("both formalisms should find the violation")
 	}
 
 	// FIFO: both safe.
-	expF, err := explore.Explore(protocol.NewAltBit(), explore.Config{
-		Messages: 2, MaxDataSends: 4, MaxAckSends: 4, FIFO: true, AllowDrop: true, ConstantPayload: true,
-	})
+	expF, err := verify.Run(protocol.NewAltBit(), verify.Config{MaxMessages: 2, FIFO: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +147,16 @@ func TestDifferentialAltbitAcrossFormalisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if expF.Violation != nil || autF.Found != nil {
-		t.Fatalf("formalisms should both be safe over FIFO: explore=%v ioauto=%v",
-			expF.Violation, autF.Found)
+	if expF.Verdict != verify.VerdictProved || autF.Found != nil {
+		t.Fatalf("formalisms should both be safe over FIFO: verify=%s ioauto=%v",
+			expF.Verdict, autF.Found)
 	}
 }
 
 // TestDifferentialSeqnumAcrossFormalisms: both formulations verify the
 // naive protocol safe over non-FIFO.
 func TestDifferentialSeqnumAcrossFormalisms(t *testing.T) {
-	exp, err := explore.Explore(protocol.NewSeqNum(), explore.Config{
-		Messages: 2, MaxDataSends: 4, MaxAckSends: 4, ConstantPayload: true, AllowDrop: true,
-	})
+	exp, err := verify.Run(protocol.NewSeqNum(), verify.Config{MaxMessages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +168,8 @@ func TestDifferentialSeqnumAcrossFormalisms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Violation != nil || aut.Found != nil {
-		t.Fatalf("both should be safe: explore=%v ioauto=%v", exp.Violation, aut.Found)
+	if exp.Verdict != verify.VerdictProved || aut.Found != nil {
+		t.Fatalf("both should be safe: verify=%s ioauto=%v", exp.Verdict, aut.Found)
 	}
 	if !exp.Exhausted || !aut.Exhausted {
 		t.Fatal("both spaces should be exhausted")

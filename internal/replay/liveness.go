@@ -137,10 +137,23 @@ func appendDriveKey(dst []byte, r *sim.Runner) []byte {
 // selected by mode. budget bounds the drive rounds; <= 0 means
 // DefaultDriveBudget.
 func CloseDrive(l *trace.Log, mode DriveMode, budget int) (*DriveOutcome, error) {
+	return closeDriveWith(l, nil, mode, budget)
+}
+
+// CloseDriveAs is CloseDrive against the supplied protocol implementation
+// instead of the one the trace's metadata names, in the style of RunAs.
+func CloseDriveAs(l *trace.Log, p protocol.Protocol, mode DriveMode, budget int) (*DriveOutcome, error) {
+	if p == nil {
+		return nil, fmt.Errorf("replay: CloseDriveAs needs a protocol")
+	}
+	return closeDriveWith(l, p, mode, budget)
+}
+
+func closeDriveWith(l *trace.Log, p protocol.Protocol, mode DriveMode, budget int) (*DriveOutcome, error) {
 	if budget <= 0 {
 		budget = DefaultDriveBudget
 	}
-	rd, err := redrive(l)
+	rd, err := redriveWith(l, p)
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +310,23 @@ func (o CertifyOptions) withDefaults() CertifyOptions {
 // Traces that recover, stall without a cycle, or violate safety are refused
 // with a diagnosis.
 func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
+	return certifyWith(l, nil, opts)
+}
+
+// CertifyLivelockAs is CertifyLivelock against the supplied protocol
+// implementation instead of the one the trace's metadata names, in the
+// style of RunAs: both the closing drive and the pump verification replay
+// drive p.
+func CertifyLivelockAs(l *trace.Log, p protocol.Protocol, opts CertifyOptions) (*LivelockCert, error) {
+	if p == nil {
+		return nil, fmt.Errorf("replay: CertifyLivelockAs needs a protocol")
+	}
+	return certifyWith(l, p, opts)
+}
+
+func certifyWith(l *trace.Log, p protocol.Protocol, opts CertifyOptions) (*LivelockCert, error) {
 	opts = opts.withDefaults()
-	out, err := CloseDrive(l, opts.Mode, opts.DriveBudget)
+	out, err := closeDriveWith(l, p, opts.Mode, opts.DriveBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +358,7 @@ func CertifyLivelock(l *trace.Log, opts CertifyOptions) (*LivelockCert, error) {
 
 	// Pump verification — the certificate must prove itself by replay, since
 	// state keys are protocol-supplied and could in principle under-report.
-	rr, err := Run(cert.Pumped(opts.Pump))
+	rr, err := runWith(cert.Pumped(opts.Pump), p)
 	if err != nil {
 		return nil, fmt.Errorf("replay: verifying pumped certificate: %w", err)
 	}

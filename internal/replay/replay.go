@@ -142,17 +142,15 @@ type redriven struct {
 	decisionsExhausted bool
 }
 
-// redrive re-issues a recorded log's operations against a fresh runner with
-// the recorded decision streams substituted for the channel policies. It
-// fails on traces that are not re-drivable: unknown protocols, or
-// observational recordings (e.g. netlink session logs, which capture only
+// redriveWith re-issues a recorded log's operations against a fresh runner
+// with the recorded decision streams substituted for the channel policies.
+// When proto is non-nil it is driven in place of the trace's protocol
+// metadata: the differential conformance harness (internal/conformance)
+// pushes one schedule through two implementations of the same protocol, and
+// the bounded verifier confirms witnesses against the exact instance it
+// explored. It fails on traces that are not re-drivable: unknown protocols,
+// or observational recordings (e.g. netlink session logs, which capture only
 // one vantage point of a real network run and cannot be re-executed).
-func redrive(l *trace.Log) (*redriven, error) { return redriveWith(l, nil) }
-
-// redriveWith is redrive with an optional protocol override: when proto is
-// non-nil it is driven in place of the trace's protocol metadata. The
-// differential conformance harness (internal/conformance) uses the override
-// to push one schedule through two implementations of the same protocol.
 func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 	// "sim" traces come from the simulator; "soak" traces come from the
 	// lock-step netlink sessions, which drive a sim.Runner whose channel

@@ -21,7 +21,7 @@ import (
 // cumulative ack from a previous wrap aliases into the current window.
 // The ack aliasing produces a *liveness* failure (the sender slides past a
 // segment the receiver never accepted and the connection deadlocks), which
-// the explorer's CheckDeadlock option detects.
+// is the deadlock shape the prover's DL3 pass checks for.
 type GoBackN struct {
 	// S is the sequence-number space size; 0 means unbounded.
 	S int

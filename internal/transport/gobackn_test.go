@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 )
@@ -127,54 +126,6 @@ func TestGBNWrapAliasByHand(t *testing.T) {
 	got := rx.TakeDelivered()
 	if len(got) != 1 || got[0] != "m0" {
 		t.Fatalf("expected the wrap alias to deliver the stale payload, got %v", got)
-	}
-}
-
-func TestGBNExplorerBreaksBoundedVariant(t *testing.T) {
-	rep, err := explore.Explore(NewGoBackN(2, 1), explore.Config{
-		Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violation == nil {
-		t.Fatalf("finite sequence space should be breakable: %+v", rep)
-	}
-	if err := ioa.CheckSafety(rep.Counterexample); err == nil {
-		t.Fatal("counterexample passes checkers")
-	}
-}
-
-func TestGBNExplorerUnboundedSafe(t *testing.T) {
-	rep, err := explore.Explore(NewGoBackN(0, 2), explore.Config{
-		Messages: 3, MaxDataSends: 6, MaxAckSends: 6, CheckDeadlock: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violation != nil {
-		t.Fatalf("unbounded gbn should be safe and live:\n%s", rep.Counterexample)
-	}
-	if !rep.Exhausted {
-		t.Fatal("space should be exhausted")
-	}
-}
-
-func TestGBNStaleAckDeadlock(t *testing.T) {
-	// The sender-side alias: with S=2 and window 1, a stale cumulative ack
-	// from a previous wrap can confirm a segment the receiver never
-	// accepted; the window slides, the channels drain, and delivery is
-	// permanently stuck. Loss must be explored for the original copy to
-	// vanish.
-	rep, err := explore.Explore(NewGoBackN(2, 1), explore.Config{
-		Messages: 3, MaxDataSends: 7, MaxAckSends: 7,
-		AllowDrop: true, CheckDeadlock: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violation == nil {
-		t.Fatal("expected a violation (safety alias or ack-alias deadlock)")
 	}
 }
 

@@ -15,12 +15,12 @@
 //   - S > 0: sequence numbers mod S, i.e. a bounded header alphabet of 2S
 //     (data + ack). Theorem 3.1's dichotomy now bites at the transport
 //     layer: a stale segment from ≥ S sequence numbers ago aliases into
-//     the receive window and is accepted as new. The exhaustive explorer
-//     and the replay adversary both find the violation.
+//     the receive window and is accepted as new. The bounded prover
+//     (internal/verify) and the replay adversary both find the violation.
 //
 // The endpoints implement the same Transmitter/Receiver interfaces as the
 // data link protocols, so every harness in this repo — the runner, the
-// adversaries, the explorer, the boundness measurements — applies
+// adversaries, the prover, the boundness measurements — applies
 // unchanged.
 package transport
 
@@ -41,7 +41,7 @@ import (
 // sizing); with S < 2W two in-flight segments can share a header and the
 // receiver's wrap resolution is ambiguous even without an adversary. The
 // constructor does not enforce this: undersized spaces are exactly the
-// misconfigurations the explorer demonstrates broken.
+// misconfigurations the prover demonstrates broken.
 type SlidingWindow struct {
 	// S is the sequence-number space size; 0 means unbounded.
 	S int

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -211,45 +210,6 @@ func TestBoundedSeqSpaceAliasing(t *testing.T) {
 	got := rx.TakeDelivered()
 	if len(got) != 1 || got[0] != "m0" {
 		t.Fatalf("expected the alias bug to deliver the stale payload, got %v", got)
-	}
-}
-
-// TestExplorerBreaksBoundedVariants is the transport-layer Theorem 3.1:
-// every finite sequence space falls to exhaustive channel nondeterminism.
-func TestExplorerBreaksBoundedVariants(t *testing.T) {
-	for _, p := range []SlidingWindow{New(2, 1), New(3, 1)} {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
-			rep, err := explore.Explore(p, explore.Config{
-				Messages: p.S + 1, MaxDataSends: 2 * (p.S + 1), MaxAckSends: 2 * (p.S + 1),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Violation == nil {
-				t.Fatalf("bounded sequence space should be breakable: %+v", rep)
-			}
-			if err := ioa.CheckSafety(rep.Counterexample); err == nil {
-				t.Fatal("counterexample passes checkers")
-			}
-		})
-	}
-}
-
-// TestExplorerUnboundedSafe: the unbounded variant survives the same
-// exhaustive adversary.
-func TestExplorerUnboundedSafe(t *testing.T) {
-	rep, err := explore.Explore(New(0, 2), explore.Config{
-		Messages: 3, MaxDataSends: 6, MaxAckSends: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violation != nil {
-		t.Fatalf("unbounded swindow should be safe:\n%s", rep.Counterexample)
-	}
-	if !rep.Exhausted {
-		t.Fatal("space should be exhausted")
 	}
 }
 

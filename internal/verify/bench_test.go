@@ -7,49 +7,33 @@ import (
 	"repro/internal/protocol"
 )
 
-// BenchmarkVerify holds the interned visited set against the legacy
-// string-keyed reference on a budget-bounded cntexp exploration — the
-// profile-dominant workload (key render + clone + dedup insert). The
-// configs-per-second ratio between the two sub-benchmarks is the verifier
-// half of the PR's throughput claim.
+// BenchmarkVerify measures the prover's configs-per-second on a
+// budget-bounded cntexp exploration — the profile-dominant workload (key
+// render + clone + dedup insert).
 func BenchmarkVerify(b *testing.B) {
-	run := func(b *testing.B, stringKeys bool) {
-		b.Helper()
-		p := protocol.NewCntExp()
-		states := 0
-		for i := 0; i < b.N; i++ {
-			rep, err := Run(p, Config{MaxStates: 1 << 14, StringKeys: stringKeys})
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = rep.States
+	p := protocol.NewCntExp()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(p, Config{MaxStates: 1 << 14})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "configs/sec")
+		states = rep.States
 	}
-	b.Run("string", func(b *testing.B) { run(b, true) })
-	b.Run("interned", func(b *testing.B) { run(b, false) })
+	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "configs/sec")
 }
 
-// BenchmarkConfigKey isolates the canonical-key cost: the legacy string
-// rendering versus the append rendering into a reused scratch buffer (the
-// interned path also gets packed component ids out of the same bytes).
+// BenchmarkConfigKey isolates the canonical-key cost: the append rendering
+// into a reused scratch buffer plus the packed component ids interned out
+// of the same bytes.
 func BenchmarkConfigKey(b *testing.B) {
 	p := protocol.NewCntExp()
 	e := &explorer{cfg: Config{}.withDefaults(), proto: p, tab: intern.NewLocal(), pkts: newPktIntern()}
-	c := newInit(p)
-	b.Run("string", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(c.key(false)) == 0 {
-				b.Fatal("empty key")
-			}
+	c := newInit(p, false)
+	for i := 0; i < b.N; i++ {
+		_, canon := e.keyOf(c)
+		if len(canon) == 0 {
+			b.Fatal("empty key")
 		}
-	})
-	b.Run("append-interned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, canon := e.keyOf(c)
-			if len(canon) == 0 {
-				b.Fatal("empty key")
-			}
-		}
-	})
+	}
 }

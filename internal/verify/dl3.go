@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -62,11 +64,31 @@ func (e *explorer) strandedCandidates() []int32 {
 	return out
 }
 
-// confirmLivelock tries to certify a livelock from the stranded candidates,
-// in BFS order (shallowest witness first), attempting at most tries of
-// them. It returns the certificate and the pumped, self-contained NFT form,
-// or nil when every attempted candidate recovers under the reliable drive.
-func (e *explorer) confirmLivelock(cands []int32, tries int) (*replay.LivelockCert, *trace.Log, int, error) {
+// dl3Finding is a confirmed DL3 witness: a pumped livelock certificate or a
+// deadlock schedule, either one re-judged DL3 by an ordinary replay.
+type dl3Finding struct {
+	detail  string
+	witness *trace.Log
+}
+
+// confirmLivelock tries to confirm a DL3 violation from the stranded
+// candidates, in BFS order (shallowest witness first), attempting at most
+// tries of them. Each candidate's prefix is closed by the reliable drive
+// (replay.CloseDriveAs) and accepted in one of two shapes:
+//
+//   - a deadlock: the drive goes quiescent — the transmitter idle, nothing
+//     left to send — with a message still undelivered. No extension
+//     delivers it, so the stall is a permanent DL3 violation without any
+//     cycle to pump. Clean mode only: corrupted starts answer to the
+//     amnesty judge, which the closing drive does not apply.
+//   - a livelock: the drive repeats a joint configuration without
+//     delivering, and replay.CertifyLivelockAs issues the pumping-lemma
+//     certificate.
+//
+// Both confirmations drive e.proto itself, so protocols outside replay's
+// name registry confirm the same way. It returns nil when every attempted
+// candidate recovers under the reliable drive.
+func (e *explorer) confirmLivelock(cands []int32, tries int) (*dl3Finding, int, error) {
 	if tries <= 0 {
 		tries = 3
 	}
@@ -79,25 +101,50 @@ func (e *explorer) confirmLivelock(cands []int32, tries int) (*replay.LivelockCe
 		moves, root := e.chain(id, nil)
 		wl, err := e.witnessLog(moves, root)
 		if err != nil {
-			return nil, nil, attempted, err
+			return nil, attempted, err
 		}
-		cert, err := replay.CertifyLivelock(wl, replay.CertifyOptions{
+		out, err := replay.CloseDriveAs(wl, e.proto, replay.DriveReliable, e.cfg.DriveBudget)
+		if err != nil || out.Safety != nil || out.DL3 == nil {
+			// The candidate recovers under the reliable closing drive (or
+			// its closure is not a clean liveness failure): try the next.
+			continue
+		}
+		if out.Quiescent {
+			if e.cfg.Stabilize {
+				continue
+			}
+			if rl := e.confirmDL3(out.Log); rl != nil {
+				rl.SetMeta(trace.MetaSource, "verify-deadlock")
+				return &dl3Finding{detail: fmt.Sprintf(
+					"deadlock: %d of %d message(s) delivered and the transmitter idle under the reliable closing drive; no extension delivers the rest",
+					out.Delivered, out.Submitted), witness: rl}, attempted, nil
+			}
+			continue
+		}
+		cert, err := replay.CertifyLivelockAs(wl, e.proto, replay.CertifyOptions{
 			DriveBudget: e.cfg.DriveBudget,
 			Pump:        e.cfg.Pump,
 		})
 		if err != nil {
-			// The candidate recovers (or stalls without a cycle) under the
-			// reliable closing drive: not a livelock, try the next one.
+			// Stranded but no certifiable cycle within the drive budget.
 			continue
 		}
-		pumped := cert.Pumped(e.cfg.Pump)
-		// Re-derive the verdict through an ordinary replay so the returned
-		// artifact is confirmed the same way safety witnesses are.
-		rr, err := replay.Run(pumped)
-		if err != nil || rr.Divergence != nil || rr.Verdict != nil || rr.DL3 == nil {
-			continue
+		if rl := e.confirmDL3(cert.Pumped(e.cfg.Pump)); rl != nil {
+			return &dl3Finding{detail: cert.DL3.Detail, witness: rl}, attempted, nil
 		}
-		return cert, rr.Log, attempted, nil
 	}
-	return nil, nil, attempted, nil
+	return nil, attempted, nil
+}
+
+// confirmDL3 re-derives a DL3 witness's verdict through an ordinary replay,
+// so the returned artifact is confirmed the same way safety witnesses are:
+// zero divergence, safety-clean, and still failing the quiescent DL3 check.
+// It returns the replay's re-recorded log, or nil when the witness does not
+// reproduce.
+func (e *explorer) confirmDL3(l *trace.Log) *trace.Log {
+	rr, err := replay.RunAs(l, e.proto)
+	if err != nil || rr.Divergence != nil || rr.Verdict != nil || rr.DL3 == nil {
+		return nil
+	}
+	return rr.Log
 }

@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/intern"
@@ -43,9 +42,10 @@ import (
 //     behaviour). Sends beyond a channel's cap are likewise not buffered:
 //     below cap a transmitted packet is delayed in transit, at cap it is
 //     dropped at send (the only way to let the transmitter keep stepping).
-//   - Deliveries and drops are explored per distinct in-transit packet.
-//     Under the lazy-drop reduction (POR), in-transit drops are explored
-//     only at cap; see verify.go.
+//   - Deliveries and drops are explored per distinct in-transit packet, or
+//     for the FIFO head alone under Config.FIFO. Under the lazy-drop
+//     reduction (POR), in-transit drops are explored only at cap; see
+//     verify.go.
 
 // payload is the positional payload of the i-th submitted message.
 func payload(i int) string { return "m" + strconv.Itoa(i) }
@@ -98,12 +98,64 @@ func (m move) String() string {
 	}
 }
 
+// link is one direction's in-transit channel under the run's discipline:
+// *channel.NonFIFO for the paper's multiset, *channel.FIFO for the
+// order-preserving contrast (Config.FIFO). Deliverable/DeliverableAt
+// enumerate the packets the next delivery or drop may take — every distinct
+// in-transit value, or the FIFO head alone — so expand is one loop over
+// either discipline.
+type link interface {
+	Send(ioa.Packet)
+	Deliver(ioa.Packet) error
+	Drop(ioa.Packet) error
+	InTransit() int
+	Deliverable() int
+	DeliverableAt(i int) ioa.Packet
+	AppendKey([]byte) []byte
+}
+
+func newLink(dir ioa.Dir, fifo bool) link {
+	if fifo {
+		return channel.NewFIFO(dir)
+	}
+	return channel.NewNonFIFO(dir)
+}
+
+// cloneLink deep-copies src, reusing dst's storage when dst is a channel of
+// the same discipline (nil allocates a fresh one).
+func cloneLink(dst, src link) link {
+	switch s := src.(type) {
+	case *channel.NonFIFO:
+		if d, ok := dst.(*channel.NonFIFO); ok {
+			s.CloneInto(d)
+			return d
+		}
+		return s.Clone()
+	case *channel.FIFO:
+		if d, ok := dst.(*channel.FIFO); ok {
+			s.CloneInto(d)
+			return d
+		}
+		return s.Clone()
+	}
+	panic(fmt.Sprintf("verify: unknown channel type %T", src))
+}
+
+// genieOf adapts a link to the stale-copy oracle the counting protocols
+// consult.
+func genieOf(l link) channel.Genie {
+	if f, ok := l.(*channel.FIFO); ok {
+		return channel.FIFOGenie{Ch: f}
+	}
+	return channel.ChannelGenie{Ch: l.(*channel.NonFIFO)}
+}
+
 // config is one joint configuration of the exploration.
 type config struct {
 	t         protocol.Transmitter
 	r         protocol.Receiver
-	chData    *channel.NonFIFO // t→r
-	chAck     *channel.NonFIFO // r→t
+	chData    link // t→r
+	chAck     link // r→t
 	submitted int32
 	delivered int32
 	id        int32
@@ -119,55 +171,38 @@ type config struct {
 	lost      uint64
 }
 
-// clone deep-copies the configuration, rebinding the endpoints' genies to
-// the cloned channels (the same discipline as sim.Runner.Fork and the
-// audit enumerator).
-func (c *config) clone() *config {
-	nc := &config{
-		t:         c.t.Clone(),
-		r:         c.r.Clone(),
-		chData:    c.chData.Clone(),
-		chAck:     c.chAck.Clone(),
-		submitted: c.submitted,
-		delivered: c.delivered,
-		remaining: c.remaining,
-		frontier:  c.frontier,
-		lost:      c.lost,
+// rebindGenies points the endpoints' genies (if they consult one) at the
+// configuration's own channels, the same discipline as sim.Runner.Fork and
+// the audit enumerator.
+func (c *config) rebindGenies() {
+	if u, ok := c.t.(protocol.AckGenieUser); ok {
+		u.SetAckGenie(genieOf(c.chAck))
 	}
-	if u, ok := nc.t.(protocol.AckGenieUser); ok {
-		u.SetAckGenie(channel.ChannelGenie{Ch: nc.chAck})
+	if u, ok := c.r.(protocol.DataGenieUser); ok {
+		u.SetDataGenie(genieOf(c.chData))
 	}
-	if u, ok := nc.r.(protocol.DataGenieUser); ok {
-		u.SetDataGenie(channel.ChannelGenie{Ch: nc.chData})
-	}
-	return nc
 }
 
-// cloneOf deep-copies c exactly like (*config).clone, recycling a released
-// configuration's struct and channel storage when one is available.
-// Duplicate successors and expanded parents dominate the exploration's
-// allocation profile; the endpoints are still freshly cloned (the protocol
-// Clone contract allocates), but the config struct and both channel
-// multisets are reused.
+// cloneOf deep-copies c, recycling a released configuration's struct and
+// channel storage when one is available. Duplicate successors and expanded
+// parents dominate the exploration's allocation profile; the endpoints are
+// always freshly cloned (the protocol Clone contract allocates), but the
+// config struct and both channels are reused.
 func (e *explorer) cloneOf(c *config) *config {
-	n := len(e.free)
-	if n == 0 {
-		return c.clone()
+	var nc *config
+	if n := len(e.free); n > 0 {
+		nc = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		nc = &config{}
 	}
-	nc := e.free[n-1]
-	e.free = e.free[:n-1]
 	nc.t = c.t.Clone()
 	nc.r = c.r.Clone()
-	c.chData.CloneInto(nc.chData)
-	c.chAck.CloneInto(nc.chAck)
+	nc.chData = cloneLink(nc.chData, c.chData)
+	nc.chAck = cloneLink(nc.chAck, c.chAck)
 	nc.submitted, nc.delivered, nc.id = c.submitted, c.delivered, 0
 	nc.remaining, nc.frontier, nc.lost = c.remaining, c.frontier, c.lost
-	if u, ok := nc.t.(protocol.AckGenieUser); ok {
-		u.SetAckGenie(channel.ChannelGenie{Ch: nc.chAck})
-	}
-	if u, ok := nc.r.(protocol.DataGenieUser); ok {
-		u.SetDataGenie(channel.ChannelGenie{Ch: nc.chData})
-	}
+	nc.rebindGenies()
 	return nc
 }
 
@@ -179,42 +214,17 @@ func (e *explorer) release(c *config) {
 	e.free = append(e.free, c)
 }
 
-// key is the canonical configuration encoding the visited set dedups on. In
-// stabilize mode the amnesty bookkeeping joins the key: two occurrences of
-// the same joint configuration with different remaining budgets, frontiers
-// or lost sets have different judgeable futures, so merging them would be
-// unsound. Clean-mode keys are unchanged (space hashes stay comparable
-// across versions).
-func (c *config) key(stabilizeMode bool) string {
-	var b strings.Builder
-	b.WriteString(protocol.ControlKeyOf(c.t))
-	b.WriteByte('|')
-	b.WriteString(protocol.ControlKeyOf(c.r))
-	b.WriteByte('|')
-	b.WriteString(c.chData.Key())
-	b.WriteByte('|')
-	b.WriteString(c.chAck.Key())
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(c.submitted)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(c.delivered)))
-	if stabilizeMode {
-		b.WriteString("|g")
-		b.WriteString(strconv.Itoa(int(c.remaining)))
-		b.WriteString("|f")
-		b.WriteString(strconv.Itoa(int(c.frontier)))
-		b.WriteString("|l")
-		b.WriteString(strconv.FormatUint(c.lost, 16))
-	}
-	return b.String()
-}
-
-// keyOf is the interned fast path of config.key: it renders the canonical
-// key once into the explorer's scratch buffer — byte-identical to key(), so
-// the space hash is store-independent — while interning the four string
-// components from their sub-slices into the packed intKey the default store
-// dedups on. The returned bytes alias e.kbuf and are valid until the next
-// call.
+// keyOf renders a configuration's canonical key — the '|'-joined endpoint
+// control keys, channel keys and (submitted, delivered) counters — into the
+// explorer's scratch buffer, while interning the four string components
+// from their sub-slices into the packed intKey the default store dedups on.
+// The spill store dedups on the rendered bytes instead, and the space hash
+// folds them, so it is store-independent. In stabilize mode the amnesty
+// bookkeeping joins the key: two occurrences of the same joint configuration
+// with different remaining budgets, frontiers or lost sets have different
+// judgeable futures, so merging them would be unsound; clean-mode keys are
+// unchanged (space hashes stay comparable across versions). The returned
+// bytes alias e.kbuf and are valid until the next call.
 func (e *explorer) keyOf(ns *config) (intKey, []byte) {
 	var k intKey
 	b := protocol.AppendControlKeyOf(e.kbuf[:0], ns.t)
@@ -342,14 +352,7 @@ func (e *explorer) visit(ns *config, from int32, mv move) (int32, bool) {
 	if e.err != nil {
 		return -1, false
 	}
-	var ik intKey
-	var canon []byte
-	if e.cfg.StringKeys {
-		canon = append(e.kbuf[:0], ns.key(e.cfg.Stabilize)...)
-		e.kbuf = canon
-	} else {
-		ik, canon = e.keyOf(ns)
-	}
+	ik, canon := e.keyOf(ns)
 	id, fresh, err := e.seen.insert(ik, canon)
 	if err != nil {
 		e.err = err
@@ -416,18 +419,18 @@ func (e *explorer) collect(ns *config, from int32, mv move) bool {
 }
 
 // drainAcks forwards the receiver's pending acknowledgements to the r→t
-// channel, dropping at send beyond the occupancy cap. The send-then-drop
-// shape (rather than the audit's skip-the-send) mirrors sim.Runner.DrainAcks
-// exactly, so a witness re-drive reproduces the same channel state.
+// channel, dropping at send once the channel is at the occupancy cap: the
+// dropped copy never enters the channel, as with sim.Runner's fused
+// SendDropped, so a FIFO queue keeps its order and a witness re-drive
+// reproduces the same channel contents.
 func (e *explorer) drainAcks(ns *config) {
 	for {
 		a, ok := ns.r.NextPkt()
 		if !ok {
 			return
 		}
-		ns.chAck.Send(a)
-		if ns.chAck.InTransit() > e.cfg.Occupancy {
-			_ = ns.chAck.Drop(a)
+		if ns.chAck.InTransit() < e.cfg.Occupancy {
+			ns.chAck.Send(a)
 		}
 	}
 }
@@ -451,11 +454,10 @@ func (e *explorer) expand(s *config) {
 	{
 		ns := e.cloneOf(s)
 		if pkt, ok := ns.t.NextPkt(); ok {
-			ns.chData.Send(pkt)
 			if s.chData.InTransit() < L {
+				ns.chData.Send(pkt)
 				e.visit(ns, s.id, move{kind: mvTransmit})
 			} else {
-				_ = ns.chData.Drop(pkt)
 				e.visit(ns, s.id, move{kind: mvTransmitDrop})
 			}
 		} else {
@@ -463,11 +465,12 @@ func (e *explorer) expand(s *config) {
 		}
 	}
 
-	// deliver-data: each distinct in-transit data packet, removed from the
-	// channel before the receiver sees it (genie snapshots observe the
-	// post-delivery transit), DL1-checked per delivery, acks drained.
-	for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
-		pkt := s.chData.PacketAt(i)
+	// deliver-data: each deliverable data packet (any distinct in-transit
+	// value, or the FIFO head), removed from the channel before the
+	// receiver sees it (genie snapshots observe the post-delivery transit),
+	// DL1-checked per delivery, acks drained.
+	for i, n := 0, s.chData.Deliverable(); i < n; i++ {
+		pkt := s.chData.DeliverableAt(i)
 		ns := e.cloneOf(s)
 		if ns.chData.Deliver(pkt) != nil {
 			e.release(ns)
@@ -482,9 +485,9 @@ func (e *explorer) expand(s *config) {
 		e.visit(ns, s.id, mv)
 	}
 
-	// deliver-ack: each distinct in-transit ack packet.
-	for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
-		pkt := s.chAck.PacketAt(i)
+	// deliver-ack: each deliverable ack packet.
+	for i, n := 0, s.chAck.Deliverable(); i < n; i++ {
+		pkt := s.chAck.DeliverableAt(i)
 		ns := e.cloneOf(s)
 		if ns.chAck.Deliver(pkt) != nil {
 			e.release(ns)
@@ -494,13 +497,13 @@ func (e *explorer) expand(s *config) {
 		e.visit(ns, s.id, move{kind: mvDeliverAck, pkt: pkt})
 	}
 
-	// drop: each distinct in-transit packet, on either channel. Under the
+	// drop: each deliverable packet, on either channel. Under the
 	// lazy-drop reduction, drops are explored only at cap — where they are
 	// needed to unblock a send; see DESIGN.md §12 for why postponing them
 	// preserves endpoint-observable reachability for genie-free protocols.
 	if !e.por || s.chData.InTransit() >= L {
-		for i, n := 0, s.chData.DistinctPackets(); i < n; i++ {
-			pkt := s.chData.PacketAt(i)
+		for i, n := 0, s.chData.Deliverable(); i < n; i++ {
+			pkt := s.chData.DeliverableAt(i)
 			ns := e.cloneOf(s)
 			if ns.chData.Drop(pkt) == nil {
 				e.visit(ns, s.id, move{kind: mvDropData, pkt: pkt})
@@ -510,8 +513,8 @@ func (e *explorer) expand(s *config) {
 		}
 	}
 	if !e.por || s.chAck.InTransit() >= L {
-		for i, n := 0, s.chAck.DistinctPackets(); i < n; i++ {
-			pkt := s.chAck.PacketAt(i)
+		for i, n := 0, s.chAck.Deliverable(); i < n; i++ {
+			pkt := s.chAck.DeliverableAt(i)
 			ns := e.cloneOf(s)
 			if ns.chAck.Drop(pkt) == nil {
 				e.visit(ns, s.id, move{kind: mvDropAck, pkt: pkt})

@@ -1,9 +1,11 @@
-// Package verify is a bounded model checker for data link protocols over
-// non-FIFO channels: it exhaustively explores the joint configurations
+// Package verify is the repository's bounded model checker for data link
+// protocols over non-FIFO channels (or, with Config.FIFO, the contrasting
+// lossy FIFO channel): it exhaustively explores the joint configurations
 // (q_t, q_r, c^{t→r}, c^{r→t}, submitted, delivered) reachable when each
 // channel holds at most Occupancy in-transit packets and at most
 // MaxMessages messages are submitted, checking DL1 (safe delivery
-// correspondence) on the fly and DL3 (no livelock) over the explored graph.
+// correspondence) on the fly and DL3 (no livelock or deadlock) over the
+// explored graph.
 //
 // The checker is the proof-side complement of the repo's testing tools: the
 // fuzzer (internal/fuzz) and the adversary constructions (internal/adversary)
@@ -39,7 +41,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/intern"
 	"repro/internal/ioa"
 	"repro/internal/protocol"
@@ -68,13 +69,16 @@ type Config struct {
 	// under this directory instead of holding it in memory ("" = in
 	// memory; "." spills to the current directory's temp space).
 	SpillDir string
-	// StringKeys forces the legacy string-keyed in-memory visited set
-	// instead of the interned packed-key store. The two are
-	// phenotype-identical — same States, Edges, SpaceHash and verdict; the
-	// simdiff harness pins the equivalence — so the flag exists for
-	// differential checking and A/B benchmarks, not correctness. Ignored
-	// when SpillDir is set (spilled keys are stored as strings regardless).
-	StringKeys bool
+	// FIFO explores the order-preserving lossy channel instead of the
+	// paper's non-FIFO multiset: only the oldest packet on each channel may
+	// be delivered or dropped. Protocols such as the alternating bit
+	// protocol that fall over the non-FIFO channel are PROVED here,
+	// isolating reordering as the decisive channel property. FIFO forces the
+	// lazy-drop reduction off (dropping the head enables the next delivery,
+	// so drops no longer commute), cannot be combined with Stabilize, and
+	// is judged OBSERVED: DLStatus declarations describe the non-FIFO
+	// channel (see judge).
+	FIFO bool
 	// Pump is how many times a livelock certificate's cycle is pumped in
 	// the emitted witness; <= 0 means 3.
 	Pump int
@@ -173,10 +177,11 @@ type Report struct {
 	Occupancy   int    `json:"occupancy"`
 	MaxMessages int    `json:"messages"`
 	MaxStates   int    `json:"maxStates"`
+	FIFO        bool   `json:"fifo,omitempty"`
 
 	// POR reports whether the lazy-drop reduction was active; PORReason
-	// explains a forced-off ("genie-consulting protocol") or requested-off
-	// ("disabled") reduction.
+	// explains a forced-off ("FIFO discipline", "genie-consulting
+	// protocol") or requested-off ("disabled") reduction.
 	POR       bool   `json:"por"`
 	PORReason string `json:"porReason,omitempty"`
 
@@ -249,6 +254,10 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		Occupancy:   cfg.Occupancy,
 		MaxMessages: cfg.MaxMessages,
 		MaxStates:   cfg.MaxStates,
+		FIFO:        cfg.FIFO,
+	}
+	if cfg.FIFO && cfg.Stabilize {
+		return nil, fmt.Errorf("verify: stabilize mode explores the non-FIFO channel only; FIFO and Stabilize cannot be combined")
 	}
 
 	e := &explorer{cfg: cfg, proto: p, tab: intern.NewLocal(), pkts: newPktIntern()}
@@ -262,13 +271,17 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		rep.MaxPoison = cfg.MaxPoison
 	}
 
-	// The lazy-drop reduction is sound only when the endpoints cannot
-	// observe in-transit contents; genie users can (Stale snapshots), so
-	// the reduction is forced off for them.
-	init := newInit(p)
+	// The lazy-drop reduction is sound only when drops commute with every
+	// other move. Under FIFO they do not (dropping the head enables the next
+	// delivery), and genie users observe in-transit contents (Stale
+	// snapshots), so the reduction is forced off for both.
+	init := newInit(p, cfg.FIFO)
 	_, tGenie := init.t.(protocol.AckGenieUser)
 	_, rGenie := init.r.(protocol.DataGenieUser)
 	switch {
+	case cfg.FIFO:
+		e.por = false
+		rep.PORReason = "FIFO discipline"
 	case tGenie || rGenie:
 		e.por = false
 		rep.PORReason = "genie-consulting protocol"
@@ -288,8 +301,6 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		}
 		e.seen = ds
 		rep.Spilled = true
-	case cfg.StringKeys:
-		e.seen = newMemStore()
 	default:
 		e.seen = newIntStore()
 	}
@@ -353,9 +364,9 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 			if cfg.Stabilize {
 				seed := e.roots[root]
 				rep.Seed = seed.Key()
-				wl, v, werr = confirmStabilize(wl, seed, cfg.Occupancy)
+				wl, v, werr = confirmStabilize(wl, p, seed, cfg.Occupancy)
 			} else {
-				wl, v, werr = confirmSafety(wl)
+				wl, v, werr = confirmSafety(wl, p)
 			}
 			if werr == nil {
 				rep.Witness = wl
@@ -372,18 +383,18 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 		cands := e.strandedCandidates()
 		rep.DL3Candidates = len(cands)
 		if len(cands) > 0 {
-			cert, pumped, attempted, err := e.confirmLivelock(cands, cfg.DL3Confirm)
+			f, attempted, err := e.confirmLivelock(cands, cfg.DL3Confirm)
 			rep.DL3Attempted = attempted
 			if err != nil {
 				rep.Failures = append(rep.Failures, err.Error())
 			}
-			if cert != nil {
+			if f != nil {
 				rep.Verdict = VerdictViolated
 				rep.Property = "DL3"
-				rep.Detail = cert.DL3.Detail
-				rep.Witness = pumped
+				rep.Detail = f.detail
+				rep.Witness = f.witness
 				rep.WitnessConfirmed = true
-				rep.WitnessOps = countOps(pumped)
+				rep.WitnessOps = countOps(f.witness)
 			}
 		}
 		if rep.Verdict == "" {
@@ -401,16 +412,14 @@ func Run(p protocol.Protocol, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// newInit builds the clean initial configuration.
-func newInit(p protocol.Protocol) *config {
+// newInit builds the clean initial configuration over the chosen channel
+// discipline.
+func newInit(p protocol.Protocol, fifo bool) *config {
 	init := &config{
-		chData: channel.NewNonFIFO(ioa.TtoR),
-		chAck:  channel.NewNonFIFO(ioa.RtoT),
+		chData: newLink(ioa.TtoR, fifo),
+		chAck:  newLink(ioa.RtoT, fifo),
 	}
-	init.t, init.r = p.New(
-		channel.ChannelGenie{Ch: init.chData},
-		channel.ChannelGenie{Ch: init.chAck},
-	)
+	init.t, init.r = p.New(genieOf(init.chData), genieOf(init.chAck))
 	return init
 }
 
@@ -419,7 +428,7 @@ func newInit(p protocol.Protocol) *config {
 // poison packets pre-loaded in transit, with the seed's amnesty as the
 // remaining fault budget.
 func corruptInit(p protocol.Protocol, seed stabilize.Corruption, occupancy int) (*config, error) {
-	init := newInit(p)
+	init := newInit(p, false)
 	if seed.TIdx != 0 || seed.RIdx != 0 {
 		cp, ok := p.(protocol.Corruptible)
 		if !ok {
@@ -431,12 +440,7 @@ func corruptInit(p protocol.Protocol, seed stabilize.Corruption, occupancy int) 
 		}
 		init.t = space.Transmitters[seed.TIdx].Clone()
 		init.r = space.Receivers[seed.RIdx].Clone()
-		if u, ok := init.t.(protocol.AckGenieUser); ok {
-			u.SetAckGenie(channel.ChannelGenie{Ch: init.chAck})
-		}
-		if u, ok := init.r.(protocol.DataGenieUser); ok {
-			u.SetDataGenie(channel.ChannelGenie{Ch: init.chData})
-		}
+		init.rebindGenies()
 	}
 	for _, pkt := range seed.Data {
 		init.chData.Send(pkt)
@@ -475,6 +479,14 @@ func judge(rep *Report, p protocol.Protocol) {
 	}
 	occ, msg := ds.AttackBounds()
 	rep.Declared = &AttackDecl{Occupancy: occ, Messages: msg}
+	if rep.FIFO && !(rep.Verdict == VerdictViolated && rep.Declared.Sound()) {
+		// The declaration describes the non-FIFO channel, so a FIFO verdict
+		// neither proves nor contradicts it — except a violation of a
+		// declared-sound protocol: every FIFO execution is also a non-FIFO
+		// execution, so that violation refutes the declaration.
+		rep.Check = CheckObserved
+		return
+	}
 
 	switch rep.Verdict {
 	case VerdictViolated:
@@ -556,6 +568,9 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "messages:   %d\n", r.MaxMessages)
 	if r.Stabilize {
 		fmt.Fprintf(&b, "stabilize:  %d corrupted seed(s), max poison %d/channel\n", r.Seeds, r.MaxPoison)
+	}
+	if r.FIFO {
+		fmt.Fprintf(&b, "channel:    FIFO (order-preserving, lossy)\n")
 	}
 	if r.POR {
 		fmt.Fprintf(&b, "por:        on (lazy drops)\n")

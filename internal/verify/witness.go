@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/ioa"
+	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/stabilize"
@@ -81,7 +82,7 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
 			return channel.Delay
 		}),
 		AckPolicy: channel.PolicyFunc(func(ioa.Packet) channel.Decision {
-			if run.ChAck.InTransit() > e.cfg.Occupancy {
+			if run.ChAck.InTransit() >= e.cfg.Occupancy {
 				return channel.Drop
 			}
 			return channel.Delay
@@ -122,12 +123,13 @@ func (e *explorer) witnessLog(moves []move, root int32) (*trace.Log, error) {
 	return wl, nil
 }
 
-// confirmSafety replays a reconstructed witness schedule and demands a
-// divergence-free reproduction that the independent checkers judge unsafe.
-// It returns the replay's re-recorded log (which carries the fresh verdict
+// confirmSafety replays a reconstructed witness schedule against the
+// explored protocol instance p (replay.RunAs, so protocols outside replay's
+// name registry confirm too) and demands a divergence-free reproduction
+// that the independent checkers judge unsafe. It returns the replay's re-recorded log (which carries the fresh verdict
 // event) and the confirmed violation.
-func confirmSafety(wl *trace.Log) (*trace.Log, *ioa.Violation, error) {
-	rr, err := replay.Run(wl)
+func confirmSafety(wl *trace.Log, p protocol.Protocol) (*trace.Log, *ioa.Violation, error) {
+	rr, err := replay.RunAs(wl, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verify: witness replay: %w", err)
 	}
@@ -148,8 +150,8 @@ func confirmSafety(wl *trace.Log) (*trace.Log, *ioa.Violation, error) {
 // with the seed's amnesty instead. The returned log carries the replay's
 // own verdict event, so the witness file replays with a matching verdict
 // under `nfvet replay`; the stabilize-level finding rides in the metadata.
-func confirmStabilize(wl *trace.Log, seed stabilize.Corruption, occupancy int) (*trace.Log, *ioa.Violation, error) {
-	rr, err := replay.Run(wl)
+func confirmStabilize(wl *trace.Log, p protocol.Protocol, seed stabilize.Corruption, occupancy int) (*trace.Log, *ioa.Violation, error) {
+	rr, err := replay.RunAs(wl, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verify: witness replay: %w", err)
 	}

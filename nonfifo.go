@@ -21,17 +21,15 @@
 //     that discovers violating executions automatically and emits them as
 //     shrunk replayable certificates (see cmd/nffuzz);
 //   - boundness measurement per the paper's Definitions 5 and 6;
-//   - a bounded explicit-state model checker (Explore) that exhausts the
-//     channel nondeterminism within bounds — over the paper's non-FIFO
-//     discipline or the contrasting lossy-FIFO one — and emits shortest
-//     counterexamples;
 //   - sliding window and go-back-N transport protocols over non-FIFO
 //     virtual links, realising the paper's closing remark that the results
 //     extend to the transport layer;
-//   - a bounded reachability prover (Verify, `nfvet verify`) that either
-//     PROVES DL-safety up to an occupancy cap and message bound — emitting
-//     a machine-readable proof artifact — or produces a replay-confirmed
-//     NFT counterexample;
+//   - a bounded reachability prover (Verify, `nfvet verify`) that exhausts
+//     the channel nondeterminism within an occupancy cap and message bound —
+//     over the paper's non-FIFO discipline or, with VerifyConfig.FIFO, the
+//     contrasting lossy-FIFO one — and either PROVES DL-safety and liveness
+//     there, emitting a machine-readable proof artifact, or produces a
+//     shortest replay-confirmed NFT counterexample;
 //   - a self-stabilization subsystem (CheckConvergence, StabilizeSweep,
 //     `nfvet stabilize`, `nfvet verify -stabilize`, `nffuzz -corrupt`) that
 //     drops the paper's clean-start assumption: corrupted initial

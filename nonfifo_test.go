@@ -184,22 +184,33 @@ func TestConstantsExported(t *testing.T) {
 }
 
 func TestExploreFlow(t *testing.T) {
-	rep, err := Explore(AltBit(), ExploreConfig{Messages: 2, MaxDataSends: 4, MaxAckSends: 4})
+	rep, err := Verify(AltBit(), VerifyConfig{MaxMessages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violation == nil {
-		t.Fatal("explorer should break altbit")
+	if rep.Verdict != "VIOLATED" || !rep.WitnessConfirmed {
+		t.Fatalf("prover should break altbit: %s %v", rep.Verdict, rep.Failures)
 	}
-	if err := CheckSafety(rep.Counterexample); err == nil {
-		t.Fatal("counterexample passes the checkers")
-	}
-	safe, err := Explore(SeqNum(), ExploreConfig{Messages: 2, MaxDataSends: 4, MaxAckSends: 4})
+	rr, err := Replay(rep.Witness)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if safe.Violation != nil || !safe.Exhausted {
-		t.Fatalf("seqnum should verify safe: %+v", safe)
+	if err := CheckSafety(rr.Trace); err == nil {
+		t.Fatal("witness passes the checkers")
+	}
+	safe, err := Verify(SeqNum(), VerifyConfig{MaxMessages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if safe.Verdict != "PROVED" || !safe.Exhausted {
+		t.Fatalf("seqnum should be PROVED: %s", safe.Verdict)
+	}
+	fifo, err := Verify(AltBit(), VerifyConfig{FIFO: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fifo.Verdict != "PROVED" || fifo.Check != "OBSERVED" {
+		t.Fatalf("altbit over FIFO: %s/%s, want PROVED/OBSERVED", fifo.Verdict, fifo.Check)
 	}
 }
 
@@ -208,20 +219,41 @@ func TestSlidingWindowFlow(t *testing.T) {
 	if k, bounded := p.HeaderBound(); !bounded || k != 4 {
 		t.Fatalf("HeaderBound = %d,%t", k, bounded)
 	}
-	rep, err := Explore(p, ExploreConfig{Messages: 3, MaxDataSends: 6, MaxAckSends: 6})
+	rep, err := Verify(p, VerifyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violation == nil {
-		t.Fatal("finite sequence space should be breakable")
+	if rep.Verdict != "VIOLATED" || !rep.WitnessConfirmed {
+		t.Fatalf("finite sequence space should be breakable: %s %v", rep.Verdict, rep.Failures)
 	}
-	u := SlidingWindow(0, 2)
-	safe, err := Explore(u, ExploreConfig{Messages: 2, MaxDataSends: 4, MaxAckSends: 4})
+	safe, err := Verify(SlidingWindow(0, 2), VerifyConfig{MaxMessages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if safe.Violation != nil {
-		t.Fatal("unbounded sequence space should be safe")
+	if safe.Verdict != "PROVED" {
+		t.Fatalf("unbounded sequence space should be PROVED: %s", safe.Verdict)
+	}
+}
+
+// renamed wraps a protocol under a name outside replay's registry, the way
+// a library user's own protocol arrives at Verify.
+type renamed struct{ Protocol }
+
+func (renamed) Name() string { return "my-altbit" }
+
+// TestVerifyUnregisteredProtocol: witnesses are confirmed against the
+// instance Verify was given, so a protocol no registry knows gets a
+// confirmed witness rather than a FAIL from an unresolvable name.
+func TestVerifyUnregisteredProtocol(t *testing.T) {
+	rep, err := Verify(renamed{AltBit()}, VerifyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != "VIOLATED" || !rep.WitnessConfirmed || rep.Check == "FAIL" {
+		t.Fatalf("got %s confirmed=%v check=%s failures=%v", rep.Verdict, rep.WitnessConfirmed, rep.Check, rep.Failures)
+	}
+	if rep.Witness.Meta["protocol"] != "my-altbit" {
+		t.Fatalf("witness names protocol %q", rep.Witness.Meta["protocol"])
 	}
 }
 

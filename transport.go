@@ -2,27 +2,8 @@ package nonfifo
 
 import (
 	"repro/internal/adversary"
-	"repro/internal/explore"
 	"repro/internal/transport"
 )
-
-// Bounded model checking (see internal/explore).
-type (
-	// ExploreConfig bounds an exhaustive state-space exploration.
-	ExploreConfig = explore.Config
-	// ExploreReport is the outcome: a shortest counterexample or a
-	// safe-within-bounds certificate.
-	ExploreReport = explore.Report
-)
-
-// Explore exhaustively enumerates every interleaving of protocol steps and
-// channel behaviours within the configured bounds. It returns a shortest
-// safety counterexample when one exists, or certifies the protocol safe
-// within the bounds (Report.Exhausted). This is the reproduction's
-// strongest adversary: the paper's channel nondeterminism, exhausted.
-func Explore(p Protocol, cfg ExploreConfig) (ExploreReport, error) {
-	return explore.Explore(p, cfg)
-}
 
 // Transport layer (see internal/transport): the paper's closing remark,
 // "all our results can be extended to transport layer protocols over
@@ -42,8 +23,8 @@ func SlidingWindow(s, w int) SlidingWindowProtocol { return transport.New(s, w) 
 // GoBackN returns a go-back-N transport protocol (no receive buffer,
 // cumulative acks) with sequence space size s (0 = unbounded) and window
 // w. Like SlidingWindow, any finite sequence space is breakable over a
-// non-FIFO virtual link; the cumulative-ack aliasing additionally produces
-// deadlocks that Explore's CheckDeadlock option detects.
+// non-FIFO virtual link; the cumulative-ack aliasing can additionally
+// deadlock, the shape Verify's DL3 pass checks for.
 func GoBackN(s, w int) Protocol { return transport.NewGoBackN(s, w) }
 
 // AdaptedTransport is a transport endpoint pair wrapped as an auditable
