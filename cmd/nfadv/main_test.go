@@ -154,3 +154,22 @@ func TestReplayJSONCertificate(t *testing.T) {
 		t.Fatalf("kind should serialise as text: %+v", cert.Trace[0])
 	}
 }
+
+// TestCatalogueNames: -protocol resolves through the shared catalogue, so
+// parameterised and transport names work as in every other binary.
+func TestCatalogueNames(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-attack", "replay", "-protocol", "cheat2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "BROKEN: DL1") {
+		t.Fatalf("cheat2 should fall to the replay attack:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := run([]string{"-attack", "replay", "-protocol", "swindow-s4-w2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "RESISTED") {
+		t.Fatalf("swindow-s4-w2 with two stale copies should resist:\n%s", buf.String())
+	}
+}

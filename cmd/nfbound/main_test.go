@@ -52,3 +52,17 @@ func TestParseLevels(t *testing.T) {
 		t.Fatal("negative level accepted")
 	}
 }
+
+// TestCatalogueNames: -protocol resolves through the shared catalogue,
+// so transport and parameterised names work as in every other binary.
+func TestCatalogueNames(t *testing.T) {
+	for _, name := range []string{"gbn-s4-w2", "cntk8"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-protocol", name, "-n", "3"}, &buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(buf.String(), "M_f-boundness of "+name) {
+			t.Fatalf("%s: output:\n%s", name, buf.String())
+		}
+	}
+}

@@ -19,8 +19,10 @@ func TestRunDefault(t *testing.T) {
 	}
 }
 
+// TestRunAllRegistryProtocols also runs a transport and a parameterised
+// name: -protocol resolves through the shared catalogue (LookupProtocol).
 func TestRunAllRegistryProtocols(t *testing.T) {
-	for _, name := range []string{"altbit", "cntlinear", "cntexp", "cntk4", "cheat1"} {
+	for _, name := range []string{"altbit", "cntlinear", "cntexp", "cntk4", "cheat1", "swindow-s4-w2", "cntk8"} {
 		var buf bytes.Buffer
 		if err := run([]string{"-protocol", name, "-n", "3"}, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)

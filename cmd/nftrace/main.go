@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/protocol"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -101,7 +100,7 @@ func parseWithFile(fs *flag.FlagSet, args []string) (string, error) {
 func cmdRecord(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	var (
-		protoName = fs.String("protocol", "altbit", "protocol: "+strings.Join(protocol.Names(), ", "))
+		protoName = fs.String("protocol", "altbit", "protocol: "+replay.KnownProtocols())
 		messages  = fs.Int("messages", 8, "messages to deliver")
 		seed      = fs.Int64("seed", 1, "channel-behaviour seed")
 		delay     = fs.Float64("delay", 0.3, "per-packet delay probability on the data channel")

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/protocol"
 	"repro/internal/replay"
@@ -43,8 +42,7 @@ func runStabilize(args []string, out, errw io.Writer) int {
 		names = protocol.Names()
 	}
 	if len(names) == 0 {
-		fmt.Fprintln(errw, "nfvet stabilize: name protocols or pass -all (known: "+
-			strings.Join(protocol.Names(), ", ")+"; plus livelock, cntnobind, cheat<d>, cntk<k>)")
+		fmt.Fprintln(errw, "nfvet stabilize: name protocols or pass -all (known: "+replay.KnownProtocols()+")")
 		return 2
 	}
 

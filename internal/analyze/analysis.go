@@ -252,7 +252,7 @@ var deterministicPackages = []string{
 
 // mapOrderCriticalPackages extends the deterministic set with the
 // substrate packages whose iteration order feeds state keys and channel
-// keys directly — including the transport endpoints, whose adapted
+// keys directly — including the transport endpoints, whose mod-S
 // ControlKey quotients the static auditor hashes.
 var mapOrderCriticalPackages = append([]string{
 	"internal/mset",

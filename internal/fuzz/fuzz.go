@@ -93,7 +93,8 @@ type Violation struct {
 	// violations, or the pumped pumping-lemma certificate for livelocks.
 	Cert *trace.Log
 	// Ops is the minimized schedule's driver-operation count. For livelocks
-	// this counts the shrunk prefix schedule, not the pumped certificate.
+	// this counts the shrunk prefix schedule (the unshrunk input's when the
+	// shrunk trace cannot be re-certified), not the pumped certificate.
 	Ops int
 	// CycleOps is the pumping cycle's driver-operation count; 0 for safety
 	// violations.
@@ -370,26 +371,25 @@ func (c *campaign) promoteLivelock(in *Input) {
 	// protocol that recovers, or one that strands a dropped message without
 	// cycling (correct counting protocols never retransmit, so a dropped copy
 	// is gone but no configuration repeats) — must stay cheap and silent.
-	if _, err := replay.CertifyLivelock(logged.Log, replay.CertifyOptions{}); err != nil {
+	cert, err := replay.CertifyLivelock(logged.Log, replay.CertifyOptions{})
+	if err != nil {
 		return
 	}
+	ops := len(in.Ops)
 	sr, err := replay.ShrinkLiveness(logged.Log, replay.DriveReliable)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzz: shrinking livelock trace: %v\n", err)
-		return
-	}
-	cert, err := replay.CertifyLivelock(sr.Log, replay.CertifyOptions{})
-	if err != nil {
-		// The minimized schedule lost the pumping cycle (it can only have
-		// gotten simpler, so this is unexpected); fall back to certifying the
-		// unshrunk trace rather than dropping a real finding.
-		fmt.Fprintf(os.Stderr, "fuzz: re-certifying shrunk livelock trace: %v\n", err)
-		return
+		fmt.Fprintf(os.Stderr, "fuzz: shrinking livelock trace: %v; keeping the unshrunk certificate\n", err)
+	} else if shrunk, err := replay.CertifyLivelock(sr.Log, replay.CertifyOptions{}); err != nil {
+		// The minimized schedule lost the pumping cycle; keep the certificate
+		// of the unshrunk trace rather than dropping a real finding.
+		fmt.Fprintf(os.Stderr, "fuzz: re-certifying shrunk livelock trace: %v; keeping the unshrunk certificate\n", err)
+	} else {
+		cert, ops = shrunk, sr.FinalOps
 	}
 	v := &Violation{
 		Property:    "DL3",
 		Cert:        cert.Pumped(3),
-		Ops:         sr.FinalOps,
+		Ops:         ops,
 		CycleOps:    cert.CycleOps,
 		FoundAtExec: c.execs.Load(),
 	}

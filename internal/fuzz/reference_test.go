@@ -204,8 +204,8 @@ func diffViolation(what string, want, got *ioa.Violation) error {
 
 // specimens returns every protocol the harness replays through both cores:
 // the full registry, the deliberately broken livelock protocol, and the
-// transport adapters (whose endpoints exercise the Append*Key fallback
-// paths — native StateKey delegation and the ControlKeyer quotient).
+// finite-S transport protocols (whose endpoints exercise the Append*Key
+// fallback paths — plain StateKey and the ControlKeyer quotient).
 func specimens() []protocol.Protocol {
 	var ps []protocol.Protocol
 	for _, name := range protocol.Names() {
@@ -213,8 +213,8 @@ func specimens() []protocol.Protocol {
 	}
 	ps = append(ps,
 		protocol.NewLivelock(),
-		transport.MustAdapt(transport.New(4, 2)),
-		transport.MustAdapt(transport.NewGoBackN(4, 2)),
+		transport.New(4, 2),
+		transport.NewGoBackN(4, 2),
 	)
 	return ps
 }

@@ -26,14 +26,22 @@ import (
 	"repro/internal/transport"
 )
 
-// LookupProtocol resolves a recorded protocol name, including the
-// parameterised families (cheat<d>, cntk<k>), the deliberately broken
-// specimens (livelock, cntnobind) that are not part of the main registry,
-// and the transport-layer endpoint families (swindow-s<S>-w<W>,
-// swindow-unbounded-w<W>, gbn-s<S>-w<W>, gbn-unbounded-w<W>). Transport
-// names resolve to their *adapted* form (transport.Adapt) — behaviourally
-// identical to the native endpoints (internal/conformance proves it per
-// schedule), and additionally auditable by `nfvet audit`.
+// families lists the protocol names LookupProtocol resolves beyond the
+// main and transport registries: the deliberately broken specimens that are
+// not registered (livelock, cntnobind, arrival) and the parameterised
+// families. It is the one list every CLI's usage and error text quotes.
+const families = "livelock, cntnobind, arrival, cheat<d>, cntk<k>, stabdl<c>, swindow-s<S>-w<W>, gbn-s<S>-w<W>, and their -unbounded-w<W> forms"
+
+// KnownProtocols renders every name LookupProtocol resolves, for usage and
+// error text: the registered names, then families.
+func KnownProtocols() string {
+	return strings.Join(append(protocol.Names(), transport.Names()...), ", ") + "; plus " + families
+}
+
+// LookupProtocol resolves a recorded protocol name: the main registry
+// (protocol.Registry), the transport registry and families. Transport names
+// resolve to the plain SlidingWindow and GoBackN protocols, whose endpoints
+// carry the mod-S ControlKey quotient `nfvet audit` enumerates.
 func LookupProtocol(name string) (protocol.Protocol, error) {
 	if p, ok := protocol.Registry()[name]; ok {
 		return p, nil
@@ -64,8 +72,7 @@ func LookupProtocol(name string) (protocol.Protocol, error) {
 	if p, ok := transport.Parse(name); ok {
 		return p, nil
 	}
-	return nil, fmt.Errorf("replay: unknown protocol %q (known: %s, plus livelock, cntnobind, arrival, cheat<d>, cntk<k>, stabdl<c>, swindow-s<S>-w<W>, gbn-s<S>-w<W>, and their -unbounded-w<W> forms)",
-		name, strings.Join(protocol.Names(), ", "))
+	return nil, fmt.Errorf("replay: unknown protocol %q (known: %s)", name, KnownProtocols())
 }
 
 // Divergence reports the first point where the replayed execution differs
@@ -145,12 +152,11 @@ type redriven struct {
 // redriveWith re-issues a recorded log's operations against a fresh runner
 // with the recorded decision streams substituted for the channel policies.
 // When proto is non-nil it is driven in place of the trace's protocol
-// metadata: the differential conformance harness (internal/conformance)
-// pushes one schedule through two implementations of the same protocol, and
-// the bounded verifier confirms witnesses against the exact instance it
-// explored. It fails on traces that are not re-drivable: unknown protocols,
-// or observational recordings (e.g. netlink session logs, which capture only
-// one vantage point of a real network run and cannot be re-executed).
+// metadata: the bounded verifier confirms witnesses against the exact
+// instance it explored. It fails on traces that are not re-drivable:
+// unknown protocols, or observational recordings (e.g. netlink session
+// logs, which capture only one vantage point of a real network run and
+// cannot be re-executed).
 func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 	// "sim" traces come from the simulator; "soak" traces come from the
 	// lock-step netlink sessions, which drive a sim.Runner whose channel
@@ -235,11 +241,9 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 func Run(l *trace.Log) (*Result, error) { return runWith(l, nil) }
 
 // RunAs replays a recorded simulation trace against the supplied protocol
-// implementation instead of resolving the trace's protocol metadata. The
-// differential conformance harness replays one schedule through a native
-// endpoint pair and its adapted form and compares the two Results; any
-// implementation claiming behavioural equivalence with the recorded
-// protocol can be checked the same way.
+// implementation instead of resolving the trace's protocol metadata — the
+// bounded verifier confirms witnesses against the instance it explored,
+// which need not be registered under its name.
 func RunAs(l *trace.Log, p protocol.Protocol) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("replay: RunAs needs a protocol")
@@ -323,14 +327,8 @@ func replayable(l *trace.Log) []trace.Event {
 	return out
 }
 
-// Diverge compares two logs event for event over their replayable
-// projections and returns the first mismatch, or nil when they agree. Beyond
-// the recorded-vs-replayed check Run performs, this is the equivalence
-// criterion of the conformance harness: two logs with no divergence describe
-// the same operations, the same packet sends and deliveries, and the same
-// channel decisions.
-func Diverge(a, b *trace.Log) *Divergence { return diverge(a, b) }
-
+// diverge compares two logs event for event over their replayable
+// projections and returns the first mismatch, or nil when they agree.
 func diverge(recorded, replayed *trace.Log) *Divergence {
 	a, b := replayable(recorded), replayable(replayed)
 	n := len(a)

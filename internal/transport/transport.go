@@ -50,7 +50,10 @@ type SlidingWindow struct {
 	W int
 }
 
-var _ protocol.Protocol = SlidingWindow{}
+var (
+	_ protocol.Protocol = SlidingWindow{}
+	_ protocol.Bounded  = SlidingWindow{}
+)
 
 // New returns a sliding window transport descriptor.
 func New(s, w int) SlidingWindow {
@@ -77,6 +80,10 @@ func (p SlidingWindow) HeaderBound() (int, bool) {
 	return 2 * p.S, true
 }
 
+// Bounds implements protocol.Bounded with the declaration the mod-S
+// control-key quotient implies (see deriveBounds).
+func (p SlidingWindow) Bounds() protocol.Bounds { return deriveBounds(p.S) }
+
 // New implements protocol.Protocol. The genies are ignored: the sliding
 // window protocol uses no channel oracle (with S > 0 that is exactly why it
 // is unsafe here).
@@ -86,6 +93,20 @@ func (p SlidingWindow) New(_, _ channel.Genie) (protocol.Transmitter, protocol.R
 		w = 1
 	}
 	return &swSender{s: p.S, w: w}, &swReceiver{s: p.S, w: w}
+}
+
+// deriveBounds is the declaration the mod-S quotient implies. No k_t/k_r
+// ceilings are declared: the observed counts depend on the audit's occupancy
+// cap (see `nfvet audit -sweep`), and Bounds ceilings are cap-independent
+// claims. The header alphabet is exactly the 2S data+ack headers. For S = 0
+// there is no quotient — the header alphabet is the sequence numbers
+// themselves — and the protocol is declared state-unbounded, which the audit
+// corroborates (CONSISTENT) by running into its state budget.
+func deriveBounds(s int) protocol.Bounds {
+	if s == 0 {
+		return protocol.Bounds{StateBounded: false}
+	}
+	return protocol.Bounds{StateBounded: true, Headers: 2 * s}
 }
 
 func dataHeader(s, seq int) string {
@@ -120,7 +141,10 @@ type swSender struct {
 	rr    int // round-robin cursor over unacked segments
 }
 
-var _ protocol.Transmitter = (*swSender)(nil)
+var (
+	_ protocol.Transmitter  = (*swSender)(nil)
+	_ protocol.ControlKeyer = (*swSender)(nil)
+)
 
 func (t *swSender) SendMsg(payload string) {
 	t.queue = append(t.queue, payload)
@@ -219,6 +243,15 @@ func (t *swSender) StateKey() string {
 	return b.String()
 }
 
+// ControlKey implements protocol.ControlKeyer with the mod-S quotient (see
+// senderQuotient); S = 0 has no quotient and falls back to StateKey.
+func (t *swSender) ControlKey() string {
+	if t.s == 0 {
+		return t.StateKey()
+	}
+	return senderQuotient("swS/", t.s, t.w, t.base, t.rr, t.segs, t.queue, true)
+}
+
 func (t *swSender) StateSize() int {
 	n := len(strconv.Itoa(t.base)) + len(strconv.Itoa(t.next))
 	for _, sg := range t.segs {
@@ -291,7 +324,10 @@ func (sb segBuf) clone() segBuf {
 	return out
 }
 
-var _ protocol.Receiver = (*swReceiver)(nil)
+var (
+	_ protocol.Receiver     = (*swReceiver)(nil)
+	_ protocol.ControlKeyer = (*swReceiver)(nil)
+)
 
 func (r *swReceiver) DeliverPkt(p ioa.Packet) {
 	if !strings.HasPrefix(p.Header, "s") {
@@ -394,6 +430,32 @@ func (r *swReceiver) StateKey() string {
 	return b.String()
 }
 
+// ControlKey implements protocol.ControlKeyer: next's residue mod S (the
+// only way resolve reads it), the reorder buffer as window-relative
+// offsets, and the pending ack and delivery queues (see quotientQueues).
+// S = 0 falls back to StateKey.
+func (r *swReceiver) ControlKey() string {
+	if r.s == 0 {
+		return r.StateKey()
+	}
+	var b strings.Builder
+	b.WriteString("swR/{s=")
+	b.WriteString(strconv.Itoa(r.s))
+	b.WriteString(" w=")
+	b.WriteString(strconv.Itoa(r.w))
+	b.WriteString(" next%=")
+	b.WriteString(strconv.Itoa(r.next % r.s))
+	b.WriteString(" buf=")
+	for _, sg := range r.buf {
+		b.WriteString(strconv.Itoa(sg.seq - r.next)) // window-relative offset
+		b.WriteByte(':')
+		b.WriteString(sg.payload)
+		b.WriteByte(';')
+	}
+	quotientQueues(&b, r.acks, r.delivered)
+	return b.String()
+}
+
 func (r *swReceiver) StateSize() int {
 	n := len(strconv.Itoa(r.next)) + len(r.acks)
 	for _, sg := range r.buf {
@@ -403,4 +465,78 @@ func (r *swReceiver) StateSize() int {
 		n += len(d)
 	}
 	return n
+}
+
+// Control-key quotient. The endpoints' StateKeys carry *absolute* sequence
+// numbers (base, next, the seqs of in-flight segments), which grow without
+// bound with the message count, so the static boundness auditor
+// (internal/analyze, `nfvet audit`), which enumerates joint control states
+// by ControlKey, would never reach a fixpoint on them — even for the
+// finite-sequence-space variants whose control space *is* finite, the ones
+// Theorem 5.1 is about. The ControlKey methods supply the bisimulation
+// quotient that makes the audit terminate:
+//
+//   - For S > 0 every behavioural decision of both endpoint families reads
+//     sequence numbers only modulo S: data headers are "s<seq mod S>", ack
+//     headers "t<seq mod S>", the sliding-window receiver resolves a header
+//     against [next, next+W) by congruence mod S, the go-back-N sender
+//     resolves a cumulative ack against its window by congruence mod S.
+//     The quotient therefore replaces every absolute sequence number with
+//     its residue mod S (window positions stay relative), which is finite:
+//     equal control keys imply identical observable behaviour and
+//     control-key-equal successors under every input. The bisimulation test
+//     (TestControlKeyBisimulation) checks exactly that on reached states.
+//   - For S = 0 there is no quotient and ControlKey is the StateKey.
+
+// senderQuotient renders the shared sender control key: base mod S, the
+// in-flight segments as (seq mod S, payload[, acked]) triples, the
+// round-robin cursor and the unadmitted queue. acked is rendered only for
+// the sliding-window sender; go-back-N slides cumulatively and keeps no
+// per-segment ack marks. The proof obligation rests on the window invariant
+// both senders maintain: in-flight segments carry consecutive sequence
+// numbers starting at base, and next == base + len(segs), so base's residue
+// plus the per-segment residues determine every future header and every ack
+// resolution.
+func senderQuotient(prefix string, s, w, base, rr int, segs []segment, queue []string, acked bool) string {
+	var b strings.Builder
+	b.WriteString(prefix)
+	b.WriteString("{s=")
+	b.WriteString(strconv.Itoa(s))
+	b.WriteString(" w=")
+	b.WriteString(strconv.Itoa(w))
+	b.WriteString(" base%=")
+	b.WriteString(strconv.Itoa(base % s))
+	b.WriteString(" rr=")
+	b.WriteString(strconv.Itoa(rr))
+	b.WriteString(" segs=")
+	for _, sg := range segs {
+		b.WriteString(strconv.Itoa(sg.seq % s))
+		b.WriteByte(':')
+		b.WriteString(sg.payload)
+		if acked {
+			b.WriteByte(':')
+			b.WriteString(strconv.FormatBool(sg.acked))
+		}
+		b.WriteByte(';')
+	}
+	b.WriteString(" q=")
+	b.WriteString(strings.Join(queue, "|"))
+	b.WriteByte('}')
+	return b.String()
+}
+
+// quotientQueues renders the pending ack headers and undelivered payloads
+// into a receiver control key and closes the brace. Both queues are kept
+// verbatim: ack headers are already mod-S reduced, and both queues are
+// drained by every driver in the repo, so neither reintroduces unbounded
+// state.
+func quotientQueues(b *strings.Builder, acks []ioa.Packet, delivered []string) {
+	b.WriteString(" acks=")
+	for _, a := range acks {
+		b.WriteString(a.Header)
+		b.WriteByte(';')
+	}
+	b.WriteString(" deliv=")
+	b.WriteString(strings.Join(delivered, "|"))
+	b.WriteByte('}')
 }

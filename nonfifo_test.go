@@ -235,6 +235,41 @@ func TestSlidingWindowFlow(t *testing.T) {
 	}
 }
 
+// TestTransportAuditFlow: the transport protocols carry their mod-S
+// quotient and Bounds themselves, so auditing the value SlidingWindow or
+// GoBackN returns certifies a finite sequence space — the same report
+// `nfvet audit <name>` prints.
+func TestTransportAuditFlow(t *testing.T) {
+	for _, tc := range []struct {
+		p      Protocol
+		states int
+	}{
+		{SlidingWindow(4, 2), 5856},
+		{GoBackN(4, 2), 1640},
+		{GoBackN(8, 4), 10060},
+	} {
+		rep := AuditProtocol(tc.p, AuditConfig{})
+		if rep.States != tc.states || !rep.Exhausted || rep.Verdict != "CERTIFIED" {
+			t.Errorf("%s: %d states (exhausted %v), verdict %s; want %d, exhausted, CERTIFIED",
+				tc.p.Name(), rep.States, rep.Exhausted, rep.Verdict, tc.states)
+		}
+	}
+}
+
+// TestAdaptTransportPassThrough pins the deprecated AdaptTransport: the
+// transport protocols come back unchanged, anything else is an error.
+func TestAdaptTransportPassThrough(t *testing.T) {
+	for _, p := range []Protocol{SlidingWindow(4, 2), GoBackN(0, 2)} {
+		got, err := AdaptTransport(p)
+		if err != nil || got != p {
+			t.Errorf("AdaptTransport(%s) = %v, %v; want the protocol unchanged", p.Name(), got, err)
+		}
+	}
+	if _, err := AdaptTransport(AltBit()); err == nil {
+		t.Error("AdaptTransport(altbit) succeeded; want an error for non-transport protocols")
+	}
+}
+
 // renamed wraps a protocol under a name outside replay's registry, the way
 // a library user's own protocol arrives at Verify.
 type renamed struct{ Protocol }

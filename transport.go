@@ -1,6 +1,8 @@
 package nonfifo
 
 import (
+	"fmt"
+
 	"repro/internal/adversary"
 	"repro/internal/transport"
 )
@@ -17,7 +19,9 @@ type (
 // SlidingWindow returns a sliding window transport protocol with sequence
 // space size s (0 = unbounded) and window w. Finite sequence spaces are
 // breakable over non-FIFO virtual links — the transport-layer face of
-// Theorem 3.1 — while the unbounded variant is safe.
+// Theorem 3.1 — while the unbounded variant is safe. Its endpoints carry the
+// mod-S ControlKey quotient and the protocol declares Bounds, so
+// AuditProtocol certifies a finite sequence space directly.
 func SlidingWindow(s, w int) SlidingWindowProtocol { return transport.New(s, w) }
 
 // GoBackN returns a go-back-N transport protocol (no receive buffer,
@@ -27,18 +31,20 @@ func SlidingWindow(s, w int) SlidingWindowProtocol { return transport.New(s, w) 
 // deadlock, the shape Verify's DL3 pass checks for.
 func GoBackN(s, w int) Protocol { return transport.NewGoBackN(s, w) }
 
-// AdaptedTransport is a transport endpoint pair wrapped as an auditable
-// protocol: same name, same packets, same StateKeys, plus declared Bounds
-// and a mod-S ControlKey quotient that makes the joint control space finite
-// for S > 0.
-type AdaptedTransport = transport.Adapted
-
-// AdaptTransport wraps a SlidingWindow or GoBackN protocol for the static
-// boundness audit (AuditProtocol, AuditSweep, `nfvet audit`). The wrapped
-// form is behaviour-identical to the native one — the differential
-// conformance harness (internal/conformance) holds it to that, event for
-// event, on recorded schedules including pumped livelock certificates.
-func AdaptTransport(p Protocol) (AdaptedTransport, error) { return transport.Adapt(p) }
+// AdaptTransport returns a SlidingWindow or GoBackN protocol unchanged and
+// an error for any other protocol. The transport protocols carry their
+// mod-S control-key quotient and Bounds declaration themselves, so there is
+// nothing left to wrap.
+//
+// Deprecated: pass the transport protocol directly.
+func AdaptTransport(p Protocol) (Protocol, error) {
+	switch p.(type) {
+	case transport.SlidingWindow, transport.GoBackN:
+		return p, nil
+	default:
+		return nil, fmt.Errorf("nonfifo: cannot adapt %T (want SlidingWindow or GoBackN)", p)
+	}
+}
 
 // Induction machinery (the instrumented Theorem 3.1 construction).
 type (
