@@ -39,17 +39,14 @@
 //	nfvet verify -stabilize  seed the exploration with every bounded
 //	                         corrupted start: PROVED means the protocol
 //	                         self-stabilizes within the bounds
-//	nfvet stabilize -all     sweep arbitrary-start convergence seed by
-//	                         seed (the quick per-configuration check;
-//	                         verify -stabilize is the exhaustive prover)
 //	nfvet help               analyzer catalog
 //
 // The audit enumerates the joint control states (q_t, q_r) reachable under
 // bounded channel occupancy and checks each protocol's declared
 // protocol.Bounds: the k_t·k_r joint-state count Theorem 2.1's pumping
 // adversary exploits, and the bounded header alphabet Theorems 3.1/4.1
-// presuppose. Exit status is nonzero iff a lint finding or a FAIL verdict
-// was produced.
+// presuppose. Exit status is 1 iff a lint finding or a FAIL verdict was
+// produced, and 2 for usage errors (an unknown subcommand included).
 package main
 
 import (
@@ -59,6 +56,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/analyze"
 	"repro/internal/protocol"
@@ -82,8 +80,6 @@ func run(args []string, out, errw io.Writer) int {
 		return runAudit(args[1:], out, errw)
 	case "verify":
 		return runVerify(args[1:], out, errw)
-	case "stabilize":
-		return runStabilize(args[1:], out, errw)
 	case "help", "-h", "-help", "--help":
 		usage(out)
 		for _, a := range analyze.Analyzers() {
@@ -91,8 +87,14 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		return 0
 	}
-	// Anything else (-V=full, -flags, <unit>.cfg, analyzer-selection flags)
-	// is the go vet driver talking to us.
+	// The go vet driver only ever passes flags (-V=full, -flags,
+	// analyzer selection) and <unit>.cfg files; a bare word is a mistyped
+	// or retired subcommand.
+	if !strings.HasPrefix(args[0], "-") && !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintf(errw, "nfvet: unknown subcommand %q\n", args[0])
+		usage(errw)
+		return 2
+	}
 	return analyze.VettoolMain("nfvet", analyze.Analyzers(), args)
 }
 
@@ -102,8 +104,6 @@ func usage(w io.Writer) {
   nfvet audit [-all | names...] [options]     audit protocol boundness
   nfvet verify [-all | names...] [options]    prove DL-safety up to bounds,
                                               or emit a replayable witness
-  nfvet stabilize [-all | names...] [options] sweep arbitrary-start
-                                              convergence per corrupted seed
   nfvet help                                  analyzer catalog
   go vet -vettool=/path/to/nfvet ./...        lint via the go vet driver
 `)

@@ -8,7 +8,7 @@ import (
 
 // moduleRoot walks up from the working directory to the directory containing
 // go.mod. The analyze tests run from internal/analyze, two levels down.
-func moduleRoot(t *testing.T) string {
+func moduleRoot(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {
@@ -47,4 +47,21 @@ func TestModuleLintClean(t *testing.T) {
 			t.Errorf("lint finding: %s", d)
 		}
 	}
+}
+
+// BenchmarkAnalyzeModule measures lint throughput end to end: load and
+// type-check the whole module, then run every analyzer in dependency order
+// with the facts channel on — the work `nfvet check ./...` does.
+func BenchmarkAnalyzeModule(b *testing.B) {
+	root := moduleRoot(b)
+	pkgs := 0
+	for i := 0; i < b.N; i++ {
+		loaded, err := LoadPackages(root, "./...")
+		if err != nil {
+			b.Fatal(err)
+		}
+		AnalyzeModule(Analyzers(), loaded, true)
+		pkgs = len(loaded)
+	}
+	b.ReportMetric(float64(pkgs), "packages/op")
 }

@@ -39,9 +39,8 @@ func BenchmarkFuzzThroughput(b *testing.B) {
 	}
 }
 
-// benchCorpus grows a fixed deterministic schedule corpus: the canonical
-// seeds plus mutation chains, the same construction nfbench uses for its
-// pure-execution rows.
+// benchCorpus grows a fixed deterministic schedule corpus for the
+// pure-execution benchmarks: the canonical seeds plus mutation chains.
 func benchCorpus(n int) []*Input {
 	rng := rand.New(rand.NewSource(1))
 	ins := SeedInputs()

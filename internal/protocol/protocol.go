@@ -153,8 +153,8 @@ type DLStatus interface {
 
 // CorruptionSpace enumerates the bounded corrupted initial configurations of
 // a protocol: alternative endpoint start states and channel pre-contents the
-// self-stabilization tooling (internal/stabilize, `nfvet stabilize`,
-// `nffuzz -corrupt`, `nfvet verify -stabilize`) injects before time 0. The
+// self-stabilization tooling (internal/stabilize, `nffuzz -corrupt`,
+// `nfvet verify -stabilize`) injects before time 0. The
 // space is a cross product: any listed transmitter × any listed receiver ×
 // any multiset (up to the occupancy bound) of poison packets per channel.
 type CorruptionSpace struct {

@@ -34,10 +34,10 @@ import (
 // stale retransmissions of a no-longer-current pair can supply C+1 receipts
 // on their own — the C+1st receipt must come from a genuine fresh send.
 // Corrupted receiver counters are part of the corrupted configuration the
-// convergence checker enumerates, and each buys the adversary at most one
+// stabilize engines enumerate, and each buys the adversary at most one
 // bogus adoption — a *finite* number of initial faults, after which every
 // adoption corresponds to a fresh transmission. internal/stabilize makes
-// that claim checkable (CheckConvergence) and `nfvet verify -stabilize`
+// that claim checkable (the amnesty judge) and `nfvet verify -stabilize`
 // proves it exhaustively at bounded occupancy.
 //
 // The guarantee is calibrated to the capacity parameter: with enough

@@ -8,8 +8,8 @@ import (
 	"repro/internal/ioa"
 )
 
-// StabNaive is the non-stabilizing control specimen for the convergence
-// checker: a round-numbered stop-and-wait protocol (data "c<round>", ack
+// StabNaive is the non-stabilizing control specimen for the stabilize
+// engines: a round-numbered stop-and-wait protocol (data "c<round>", ack
 // "k<round>", rounds mod 8) whose receiver accepts only the *current* round
 // and re-acknowledges only the *previous* one. From a clean start the rounds
 // advance in lockstep and the protocol behaves like an 8-round alternating
@@ -17,10 +17,10 @@ import (
 // the endpoint rounds ever differ by more than one (a corrupted round
 // counter, or a poison acknowledgement completing a message the receiver
 // never saw), the transmitter retransmits a round the receiver silently
-// ignores, forever. That divergence is exactly what
-// stabilize.CheckConvergence certifies (via the CertifyLivelock pumping
-// machinery) and what `nfvet verify -stabilize` catches exhaustively,
-// in contrast to the counting repair of stabdl.
+// ignores, forever. That divergence is exactly what `nfvet verify
+// -stabilize` catches exhaustively — a stalled corrupted start certifies as
+// a pumped livelock through replay.CertifyLivelock (see the forged-ack test
+// in internal/stabilize) — in contrast to the counting repair of stabdl.
 type StabNaive struct{}
 
 // stabNaiveRounds is the round-counter modulus.

@@ -26,15 +26,12 @@
 //     finite-prefix form of DL1–DL3 under which a stabilizing protocol's
 //     corrupted runs are CORRECT (all faults within amnesty) and a
 //     non-stabilizing protocol's are not.
-//   - CheckConvergence runs one corrupted configuration to quiescence under
-//     reliable channels and judges it — certifying *non*-convergence either
-//     as an over-amnesty safety violation (replay-confirmed) or as a
-//     pumped livelock certificate via replay.CertifyLivelock.
 //
-// The exhaustive counterpart lives in internal/verify: `nfvet verify
-// -stabilize` seeds the BFS frontier with every Corruption from Enumerate
-// and PROVES convergence at the configured bounds or emits a
-// replay-confirmed divergence witness.
+// The engines that answer the convergence question build on this glue:
+// internal/verify (`nfvet verify -stabilize`) seeds the BFS frontier with
+// every Corruption from Enumerate and PROVES convergence at the configured
+// bounds or emits a replay-confirmed divergence witness; internal/fuzz
+// (`nffuzz -corrupt`) searches the same corruption space for one.
 package stabilize
 
 import (
@@ -44,6 +41,19 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/protocol"
 	"repro/internal/sim"
+)
+
+// Trace metadata stamped on divergence witnesses.
+const (
+	// MetaCorruption records the Corruption.Key() of the corrupted start.
+	MetaCorruption = "corruption"
+	// MetaAmnesty records the fault budget the run was judged against.
+	MetaAmnesty = "amnesty"
+	// MetaStabilize records the stabilize-level verdict ("diverged
+	// <property>") that the amnesty judge reached; the embedded verdict
+	// event stays the clean-start checkers' finding so the witness replays
+	// with a matching verdict under `nftrace replay`.
+	MetaStabilize = "stabilize"
 )
 
 // Corruption identifies one corrupted initial configuration: endpoint start

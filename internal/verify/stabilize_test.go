@@ -66,6 +66,10 @@ func TestStabilizeStabNaiveWitness(t *testing.T) {
 	if rr.Divergence != nil {
 		t.Fatalf("witness diverged on replay: %v", rr.Divergence)
 	}
+	if !rr.VerdictMatches {
+		t.Fatalf("witness verdict mismatch: recorded %v, re-checked %v/%v",
+			rr.RecordedVerdict, rr.Verdict, rr.DL3)
+	}
 	amnesty, err := strconv.Atoi(rep.Witness.Meta[stabilize.MetaAmnesty])
 	if err != nil {
 		t.Fatalf("witness metadata amnesty: %v", err)
@@ -77,16 +81,24 @@ func TestStabilizeStabNaiveWitness(t *testing.T) {
 }
 
 // TestStabilizeSoundVsUnsound pins the remaining verdict quadrants: altbit
-// (declared non-stabilizing) is CERTIFIED divergent from a corrupted start,
-// and a declared self-stabilizing protocol is never certified on a BUDGET
-// verdict (CONSISTENT at best).
+// (a poison packet impersonates a data packet) and arrival (a forged early
+// copy of a later message is delivered in arrival order), both declared
+// non-stabilizing, are CERTIFIED divergent from a corrupted start with a
+// replay-confirmed witness, and a declared self-stabilizing protocol is
+// never certified on a BUDGET verdict (CONSISTENT at best).
 func TestStabilizeSoundVsUnsound(t *testing.T) {
-	rep, err := Run(protocol.NewAltBit(), Config{Stabilize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != VerdictViolated || rep.Check != CheckCertified {
-		t.Fatalf("altbit: verdict=%s check=%s, want VIOLATED/CERTIFIED", rep.Verdict, rep.Check)
+	for _, p := range []protocol.Protocol{protocol.NewAltBit(), protocol.NewArrival()} {
+		rep, err := Run(p, Config{Stabilize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict != VerdictViolated || rep.Check != CheckCertified {
+			t.Fatalf("%s: verdict=%s check=%s, want VIOLATED/CERTIFIED", p.Name(), rep.Verdict, rep.Check)
+		}
+		if !rep.WitnessConfirmed || rep.Seed == "" {
+			t.Fatalf("%s: witness confirmed=%v seed=%q, want a confirmed corrupted-start witness",
+				p.Name(), rep.WitnessConfirmed, rep.Seed)
+		}
 	}
 
 	budget, err := Run(protocol.NewStabDL(2), Config{Stabilize: true, MaxStates: 100})

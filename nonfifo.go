@@ -30,10 +30,10 @@
 //     contrasting lossy-FIFO one — and either PROVES DL-safety and liveness
 //     there, emitting a machine-readable proof artifact, or produces a
 //     shortest replay-confirmed NFT counterexample;
-//   - a self-stabilization subsystem (CheckConvergence, StabilizeSweep,
-//     `nfvet stabilize`, `nfvet verify -stabilize`, `nffuzz -corrupt`) that
-//     drops the paper's clean-start assumption: corrupted initial
-//     configurations are enumerated, fuzzed, and exhaustively explored,
+//   - a self-stabilization subsystem (EnumerateCorruptions, Amnesty,
+//     `nfvet verify -stabilize`, `nffuzz -corrupt`) that drops the paper's
+//     clean-start assumption: corrupted initial configurations are
+//     enumerated, fuzzed, and exhaustively explored,
 //     and convergence back to DL1–DL3 within a finite fault amnesty is
 //     proved or refuted with replayable witnesses; and
 //   - the experiment suite E0–E9 that reproduces each theorem's predicted
@@ -484,9 +484,9 @@ type (
 // the bounds.
 func Verify(p Protocol, cfg VerifyConfig) (*VerifyReport, error) { return verify.Run(p, cfg) }
 
-// Self-stabilization (see internal/stabilize, `nfvet stabilize`,
-// `nfvet verify -stabilize`, and `nffuzz -corrupt`). The paper's theorems
-// assume clean starts; the stabilization subsystem drops that assumption:
+// Self-stabilization (see internal/stabilize, `nfvet verify -stabilize`
+// and `nffuzz -corrupt`). The paper's theorems assume clean starts; the
+// stabilization subsystem drops that assumption:
 // the adversary also picks the initial configuration, and a protocol
 // self-stabilizes when every bounded corrupted start converges back to
 // DL1–DL3 within its amnesty (finitely many bought faults).
@@ -495,13 +495,6 @@ type (
 	// states by index into the protocol's declared corruption space plus
 	// poison packets pre-loaded per channel.
 	Corruption = stabilize.Corruption
-	// StabilizeConfig tunes one convergence check.
-	StabilizeConfig = stabilize.Config
-	// StabilizeReport is the outcome of checking one corrupted start.
-	StabilizeReport = stabilize.Report
-	// StabilizeSweepReport aggregates a whole corruption space's checks
-	// against the protocol's StabilizeStatus declaration.
-	StabilizeSweepReport = stabilize.SweepReport
 	// CorruptionSpace declares a protocol's bounded corrupted starts.
 	CorruptionSpace = protocol.CorruptionSpace
 )
@@ -516,16 +509,3 @@ func EnumerateCorruptions(p Protocol, maxPoison int) []Corruption {
 // Amnesty returns the corruption's fault budget: the number of incorrect
 // deliveries it is entitled to cause before the run counts as divergent.
 func Amnesty(c Corruption, occupancy int) int { return stabilize.Amnesty(c, occupancy) }
-
-// CheckConvergence drives one corrupted start to quiescence under reliable
-// channels and judges it with the amnesty judge, certifying non-convergence
-// as a replay-confirmed over-amnesty witness or a pumped livelock.
-func CheckConvergence(p Protocol, c Corruption, cfg StabilizeConfig) (*StabilizeReport, error) {
-	return stabilize.CheckConvergence(p, c, cfg)
-}
-
-// StabilizeSweep checks every corruption in the protocol's bounded space and
-// aggregates the outcome against its StabilizeStatus declaration.
-func StabilizeSweep(p Protocol, cfg StabilizeConfig, maxPoison int) (*StabilizeSweepReport, error) {
-	return stabilize.Sweep(p, cfg, maxPoison)
-}
