@@ -1,8 +1,10 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,7 +91,7 @@ type Violation struct {
 	// stabilize key; "" for clean-start findings. Corrupted findings are
 	// judged against the corruption's amnesty, not the clean-start checkers.
 	Corruption string
-	// Cert is the certificate trace: the replay.Shrink output for safety
+	// Cert is the certificate trace: the replay.Shrinker output for safety
 	// violations, or the pumped pumping-lemma certificate for livelocks.
 	Cert *trace.Log
 	// Ops is the minimized schedule's driver-operation count. For livelocks
@@ -130,6 +132,7 @@ type Result struct {
 type campaign struct {
 	cfg    Config
 	exec   func(in *Input, withLog bool) *ExecResult // merger-side executor
+	shrink shrinkFunc                                // merger-side safety shrinker
 	master coverSet
 	corpus []*Entry
 	wins   map[string]*Violation // property → smallest certificate
@@ -155,6 +158,7 @@ func Run(cfg Config) (*Result, error) {
 		start:  cfg.Clock(),
 	}
 	c.exec = newExecutor(cfg.Protocol)
+	c.shrink = newShrinker()
 
 	// Seed the corpus: canonical starting schedules plus any persisted
 	// entries from a previous run. Every initial input is executed (and
@@ -200,6 +204,16 @@ var newExecutor = func(p protocol.Protocol) func(in *Input, withLog bool) *ExecR
 	return NewCore(p).Execute
 }
 
+// shrinkFunc minimizes a violating log, giving up with replay.ErrNotSmaller
+// once the result would keep at least below operations.
+type shrinkFunc func(l *trace.Log, below int) (*replay.ShrinkResult, error)
+
+// newShrinker builds the campaign's safety shrinker: one pooled, memoising
+// replay.Shrinker, used only where promote runs (the seeding loop, the serial
+// loop and the merger goroutine). It is a variable so the package's tests
+// can hold a whole campaign to the reference shrink.
+var newShrinker = func() shrinkFunc { return replay.NewShrinker().Shrink }
+
 // observe merges one execution into the campaign: coverage admission and
 // violation promotion. Serial path and merger goroutine both funnel through
 // it; in the parallel path it runs only on the merger goroutine, with
@@ -231,8 +245,10 @@ func (c *campaign) observe(in *Input, res *ExecResult, countDL3 bool) {
 
 // promote turns a violating input into a first-class certificate: re-execute
 // with trace recording, shrink with the delta-debugging shrinker, keep the
-// smallest certificate per property, and write it out. Corrupted-start
-// violations take their own confirmation path (promoteCorrupt).
+// smallest certificate per property, and write it out. The shrink is bounded
+// by the current winner's size: a trace that cannot beat it is dropped
+// before its certificate is re-recorded. Corrupted-start violations take
+// their own confirmation path (promoteCorrupt).
 func (c *campaign) promote(in *Input, res *ExecResult) {
 	if !res.Corruption.Clean() {
 		c.promoteCorrupt(in)
@@ -243,7 +259,19 @@ func (c *campaign) promote(in *Input, res *ExecResult) {
 		// Unreachable: execution is deterministic.
 		return
 	}
-	sr, err := replay.Shrink(logged.Log)
+	below := math.MaxInt
+	if old, ok := c.wins[logged.Verdict.Property]; ok {
+		below = old.Ops
+	}
+	sr, err := c.shrink(logged.Log, below)
+	if errors.Is(err, replay.ErrNotSmaller) {
+		// No smaller than the winner: the old.Ops <= v.Ops case below,
+		// decided without re-recording the certificate.
+		if c.cfg.StopOnViolation {
+			c.stop.Store(true)
+		}
+		return
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzz: shrinking %s violation: %v\n", res.Verdict.Property, err)
 		return

@@ -2,6 +2,7 @@ package netlink
 
 import (
 	"bytes"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -246,6 +247,59 @@ func TestSoakConcurrentSessionsReplay(t *testing.T) {
 		if !rr.VerdictMatches {
 			t.Fatalf("session %s verdict mismatch: recorded=%v replayed=%v dl3=%v",
 				o.Session, rr.RecordedVerdict, rr.Verdict, rr.DL3)
+		}
+	}
+}
+
+// TestSoakStoreRefusesReuse: a second store opened on a recorded soak's
+// directory (a second `nfserve serve -store D`) is refused, and every session
+// the first store recorded still replays bit for bit.
+func TestSoakStoreRefusesReuse(t *testing.T) {
+	sv, err := NewServer("")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer sv.Close()
+	dir := t.TempDir()
+	store, err := trace.NewShardStore(dir, 4)
+	if err != nil {
+		t.Fatalf("NewShardStore: %v", err)
+	}
+	rep, err := sv.RunSoak(SoakConfig{
+		Protocols: []protocol.Protocol{protocol.NewSeqNum(), protocol.NewAltBit()},
+		Sessions:  8,
+		Messages:  4,
+		Chaos:     ChaosConfig{HoldProb: 0.2, DupProb: 0.1},
+		Seed:      7,
+		Workers:   2,
+		Store:     store,
+	})
+	if err != nil {
+		t.Fatalf("RunSoak: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+
+	if _, err := trace.NewShardStore(dir, 4); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second NewShardStore on a used directory: err %v, want a refusal naming %s", err, dir)
+	}
+
+	m, err := trace.ReadManifestFile(dir)
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	if len(m.Entries) != rep.Recorded || rep.Recorded != 8 {
+		t.Fatalf("manifest lists %d sessions, soak recorded %d of 8", len(m.Entries), rep.Recorded)
+	}
+	for _, e := range m.Entries {
+		l, err := trace.ReadShardLog(dir, m, e.Session)
+		if err != nil {
+			t.Fatalf("read %s: %v", e.Session, err)
+		}
+		rr, err := replay.Run(l)
+		if err != nil || rr.Divergence != nil || !rr.VerdictMatches {
+			t.Fatalf("session %s no longer replays after the refused reopen: err %v", e.Session, err)
 		}
 	}
 }

@@ -341,7 +341,7 @@ func TestLivenessOracleEdges(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := livenessOracle(tc.mode).holds(tc.l); got != tc.want {
+			if got := livenessOracle(tc.l.Meta, tc.mode).holds(segment(tc.l)); got != tc.want {
 				t.Fatalf("oracle holds = %v, want %v", got, tc.want)
 			}
 		})

@@ -158,25 +158,9 @@ type redriven struct {
 // logs, which capture only one vantage point of a real network run and
 // cannot be re-executed).
 func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
-	// "sim" traces come from the simulator; "soak" traces come from the
-	// lock-step netlink sessions, which drive a sim.Runner whose channel
-	// behaviour is decided by a real wire — every wire outcome is lifted
-	// into the recorded decision/stale vocabulary, so the log is exactly as
-	// re-drivable as a simulator log. Other kinds (e.g. the free-running
-	// "netlink" recordings) are observational and refused.
-	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
-		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
-	}
-	if proto == nil {
-		name := l.Meta[trace.MetaProtocol]
-		if name == "" {
-			return nil, fmt.Errorf("replay: trace has no %q metadata", trace.MetaProtocol)
-		}
-		p, err := LookupProtocol(name)
-		if err != nil {
-			return nil, err
-		}
-		proto = p
+	proto, err := resolve(l, proto)
+	if err != nil {
+		return nil, err
 	}
 
 	rd := &redriven{log: trace.NewLog(nil)}
@@ -203,38 +187,67 @@ func redriveWith(l *trace.Log, proto protocol.Protocol) (*redriven, error) {
 			continue
 		}
 		rd.ops++
-		switch e.Kind {
-		case trace.KindSubmit:
-			r.SubmitMsg(e.Msg.Payload)
-		case trace.KindTransmit:
-			r.StepTransmit()
-		case trace.KindDrain:
-			r.DrainAcks()
-		case trace.KindStale:
-			if err := r.DeliverStale(e.Dir, e.Pkt); err != nil {
-				// The delayed copy does not exist in this (shrunk) execution;
-				// the move is infeasible and skipped.
-				rd.staleSkipped++
-			}
-		case trace.KindDropStale:
-			if err := r.DropStale(e.Dir, e.Pkt); err != nil {
-				rd.staleSkipped++
-			}
-		case trace.KindCorrupt:
-			// Corrupted-start moves are structural: a trace that replays
-			// them out of range or against a non-Corruptible protocol is
-			// malformed, not shrunk, so the failure is fatal rather than
-			// skipped.
-			if err := r.CorruptStart(e.Index, int(e.Bits)); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
-			}
-		case trace.KindPoison:
-			if err := r.Poison(e.Dir, e.Pkt); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
-			}
+		skipped, err := issue(r, e)
+		if err != nil {
+			return nil, err
+		}
+		if skipped {
+			rd.staleSkipped++
 		}
 	}
 	return rd, nil
+}
+
+// resolve applies the refusals every re-drive shares and returns the
+// protocol to drive: proto when non-nil, else the one the trace's metadata
+// names. "sim" traces come from the simulator; "soak" traces come from the
+// lock-step netlink sessions, which drive a sim.Runner whose channel
+// behaviour is decided by a real wire — every wire outcome is lifted into
+// the recorded decision/stale vocabulary, so the log is exactly as
+// re-drivable as a simulator log. Other kinds (e.g. the free-running
+// "netlink" recordings) are observational and refused.
+func resolve(l *trace.Log, proto protocol.Protocol) (protocol.Protocol, error) {
+	if kind := l.Meta[trace.MetaKind]; kind != "" && kind != "sim" && kind != "soak" {
+		return nil, fmt.Errorf("replay: trace kind %q is observational, only %q and %q traces can be re-driven", kind, "sim", "soak")
+	}
+	if proto != nil {
+		return proto, nil
+	}
+	name := l.Meta[trace.MetaProtocol]
+	if name == "" {
+		return nil, fmt.Errorf("replay: trace has no %q metadata", trace.MetaProtocol)
+	}
+	return LookupProtocol(name)
+}
+
+// issue re-issues one recorded driver operation against r. A stale delivery
+// or drop whose delayed copy does not exist in this (shrunk) execution is
+// infeasible and skipped, which skipped reports. Corrupted-start moves are
+// structural: a trace that replays them out of range or against a
+// non-Corruptible protocol is malformed, not shrunk, so their failure is
+// fatal rather than skipped.
+func issue(r *sim.Runner, e trace.Event) (skipped bool, err error) {
+	switch e.Kind {
+	case trace.KindSubmit:
+		r.SubmitMsg(e.Msg.Payload)
+	case trace.KindTransmit:
+		r.StepTransmit()
+	case trace.KindDrain:
+		r.DrainAcks()
+	case trace.KindStale:
+		return r.DeliverStale(e.Dir, e.Pkt) != nil, nil
+	case trace.KindDropStale:
+		return r.DropStale(e.Dir, e.Pkt) != nil, nil
+	case trace.KindCorrupt:
+		if err := r.CorruptStart(e.Index, int(e.Bits)); err != nil {
+			return false, fmt.Errorf("replay: %w", err)
+		}
+	case trace.KindPoison:
+		if err := r.Poison(e.Dir, e.Pkt); err != nil {
+			return false, fmt.Errorf("replay: %w", err)
+		}
+	}
+	return false, nil
 }
 
 // Run replays a recorded simulation trace and re-checks it.

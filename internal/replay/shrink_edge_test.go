@@ -152,3 +152,45 @@ func TestShrinkDL3OnlyTraceShrinks(t *testing.T) {
 		t.Fatalf("empty trace fails DL3 under adversarial drive: %v", out.DL3)
 	}
 }
+
+// TestMemoKeyIsTheRedriveProjection pins what the Shrinker's prefix memo is
+// keyed by: exactly what a re-drive consumes — the property, operations and
+// decisions. Observation events do not split entries; a different decision,
+// operation, prefix length or property does.
+func TestMemoKeyIsTheRedriveProjection(t *testing.T) {
+	prelude, groups := segment(minimalAltbitViolation(t))
+	s := NewShrinker()
+	key := func(prop string, gs []group) string { return string(s.memoKey(prop, prelude, gs)) }
+	edit := func(f func(*trace.Event) bool) []group {
+		out := make([]group, len(groups))
+		for i, g := range groups {
+			out[i].events = nil
+			for _, e := range g.events {
+				if f(&e) {
+					out[i].events = append(out[i].events, e)
+				}
+			}
+		}
+		return out
+	}
+	base := key("DL1", groups)
+	if got := key("DL1", edit(func(e *trace.Event) bool { return e.Kind.IsOp() || e.Kind == trace.KindDecision })); got != base {
+		t.Fatal("observation events split memo entries")
+	}
+	flipped := false
+	for _, tc := range []struct{ name, key string }{
+		{"property", key("PL1", groups)},
+		{"prefix", key("DL1", groups[:len(groups)-1])},
+		{"stale pick", key("DL1", edit(func(e *trace.Event) bool { e.Pkt.Payload += "'"; return true }))},
+		{"decision", key("DL1", edit(func(e *trace.Event) bool {
+			if e.Kind == trace.KindDecision && !flipped {
+				e.Decision, flipped = trace.Drop, true
+			}
+			return true
+		}))},
+	} {
+		if tc.key == base {
+			t.Fatalf("a different %s shares the memo key", tc.name)
+		}
+	}
+}

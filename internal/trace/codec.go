@@ -107,7 +107,7 @@ func (tw *Writer) Emit(e Event) {
 		tw.err = fmt.Errorf("trace: event %s requires format version %d, writer stamped version %d", e.Kind, versionV2, tw.version)
 		return
 	}
-	tw.buf = appendEvent(tw.buf[:0], e)
+	tw.buf = AppendEvent(tw.buf[:0], e)
 	if _, err := tw.bw.Write(tw.buf); err != nil {
 		tw.err = err
 	}
@@ -258,7 +258,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendEvent(b []byte, e Event) []byte {
+// AppendEvent appends e's on-disk encoding to b: every field e's kind
+// carries, and nothing else, so two events of a kind encode alike exactly
+// when those fields agree.
+func AppendEvent(b []byte, e Event) []byte {
 	b = append(b, byte(e.Kind))
 	switch e.Kind {
 	case KindSubmit, KindRecvMsg:

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -254,7 +255,9 @@ type shardFile struct {
 }
 
 // NewShardStore creates dir (if needed) and opens the given number of shard
-// files inside it.
+// files inside it. It refuses a directory that already holds a manifest or
+// shard files: recording over them would truncate the shards an existing
+// manifest points into.
 func NewShardStore(dir string, shards int) (*ShardStore, error) {
 	if shards <= 0 {
 		shards = 8
@@ -262,13 +265,32 @@ func NewShardStore(dir string, shards int) (*ShardStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	inUse := func(name string) error {
+		return fmt.Errorf("trace: shard store %s is already in use (holds %s); record into a fresh directory", dir, name)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestFile)); err == nil {
+		return nil, inUse(ManifestFile)
+	}
+	used, err := filepath.Glob(filepath.Join(dir, "shard-*.nfts"))
+	if err != nil {
+		return nil, err
+	}
+	if len(used) > 0 {
+		return nil, inUse(filepath.Base(used[0]))
+	}
 	s := &ShardStore{dir: dir, seen: make(map[string]bool)}
 	for i := 0; i < shards; i++ {
 		name := fmt.Sprintf("shard-%03d.nfts", i)
-		f, err := os.Create(filepath.Join(dir, name))
+		// O_EXCL closes the window between the check above and the create:
+		// a concurrent store in the same directory loses, never truncates.
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			for _, sf := range s.shards {
 				_ = sf.f.Close()
+				_ = os.Remove(filepath.Join(dir, sf.name))
+			}
+			if errors.Is(err, fs.ErrExist) {
+				return nil, inUse(name)
 			}
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -228,5 +230,56 @@ func TestShardStoreDuplicatePutRefused(t *testing.T) {
 	}
 	if _, err := s.Put("late", soakLog(3)); err == nil {
 		t.Fatal("Put after Close accepted")
+	}
+}
+
+// TestNewShardStoreRefusesUsedDirectory: a directory that already holds a
+// manifest or shard files is refused with an error naming it, and nothing in
+// it is truncated or created.
+func TestNewShardStoreRefusesUsedDirectory(t *testing.T) {
+	closed := t.TempDir()
+	s, err := NewShardStore(closed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("s0", soakLog(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifestFile(closed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadShardLog(closed, m, "s0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A store killed before Close leaves shard files and no manifest.
+	crashed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashed, "shard-003.nfts"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		dir    string
+		shards int
+	}{{closed, 2}, {closed, 8}, {crashed, 2}, {crashed, 8}} {
+		before, _ := os.ReadDir(tc.dir)
+		if _, err := NewShardStore(tc.dir, tc.shards); err == nil || !strings.Contains(err.Error(), tc.dir) {
+			t.Fatalf("NewShardStore(%s, %d) on a used directory: err %v, want a refusal naming it", tc.dir, tc.shards, err)
+		}
+		if after, _ := os.ReadDir(tc.dir); len(after) != len(before) {
+			t.Fatalf("refused NewShardStore changed %s: %d entries, had %d", tc.dir, len(after), len(before))
+		}
+	}
+	if data, _ := os.ReadFile(filepath.Join(crashed, "shard-003.nfts")); string(data) != "torn" {
+		t.Fatalf("refused NewShardStore truncated a shard: %q", data)
+	}
+	got, err := ReadShardLog(closed, m, "s0")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("first store's session after the refusal: %v (err %v), want %v", got, err, want)
 	}
 }

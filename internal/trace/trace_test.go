@@ -118,7 +118,7 @@ func TestRejectsMalformed(t *testing.T) {
 	off := hdr.Len()
 	boundaries[off] = true
 	for _, e := range l.Events {
-		off += len(appendEvent(nil, e))
+		off += len(AppendEvent(nil, e))
 		boundaries[off] = true
 	}
 	var buf bytes.Buffer
